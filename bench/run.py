@@ -45,7 +45,9 @@ import workloads  # noqa: E402
 #: MIN_COMPLETED ops so that at least ten lie beyond it.
 TAIL_PERCENTILE = 90
 MIN_COMPLETED = 100
-SETUP_REPEATS = 7
+#: Fresh-interpreter imports per untraced run, spread evenly over its
+#: measured window so that setup_s samples the same machine load as the ops.
+SETUP_REPEATS = 21
 #: A run stops starting rounds after this long, whatever its op count.
 HARD_STOP_S = 120.0
 IMPORT_PROBE = (
@@ -55,17 +57,13 @@ IMPORT_PROBE = (
 LEAK_MESSAGE = "on the top two Fock levels"
 
 
-def measure_setup() -> float:
-    """Median time for a fresh interpreter to import ``twoatomcavity.cli``."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    times = []
-    for _ in range(SETUP_REPEATS):
-        done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE], env=env, cwd=ROOT,
-            capture_output=True, text=True, timeout=60, check=True,
-        )
-        times.append(float(done.stdout.split()[-1]))
-    return statistics.median(times)
+def import_time() -> float:
+    """Time for a fresh interpreter to import ``twoatomcavity.cli``."""
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=ROOT, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return float(done.stdout.split()[-1])
 
 
 def tail_value(times: list[float], percentile: int) -> float:
@@ -127,7 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     if not (SRC / "twoatomcavity" / "cli.py").is_file():
         print(f"error: no twoatomcavity sources under {SRC}", file=sys.stderr)
         return 2
-    setup_s = None if args.trace else measure_setup()
     sys.path.insert(0, str(SRC))
     from twoatomcavity import cli
 
@@ -137,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     shutil.rmtree(workdir, ignore_errors=True)
     workdir.mkdir(parents=True)
     records: list[dict] = []
+    setup_times: list[float] = []
 
     def path_of(op: dict) -> Path:
         return workdir / f"op{len(records):06d}.{'json' if op['kind'] == 'audit' else 'csv'}"
@@ -153,6 +151,10 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 for op in round_ops:
                     records.append(run_op(cli, op, path_of(op), traced, rounds))
+                    due = len(setup_times) * args.seconds / SETUP_REPEATS
+                    if (not args.trace and len(setup_times) < SETUP_REPEATS
+                            and time.perf_counter() - start >= due):
+                        setup_times.append(import_time())
             finally:
                 tracer.uninstall()
             rounds += 1
@@ -161,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
             if (elapsed >= args.seconds and enough) or elapsed >= HARD_STOP_S:
                 break
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        while not args.trace and len(setup_times) < SETUP_REPEATS:  # ops slower than the spacing
+            setup_times.append(import_time())
         check(records)
         for record in records:
             if record["code"] == 0 and not record["failures"]:
@@ -200,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         times = [r["elapsed"] for r in done]
         values = {
-            "setup_s": setup_s,
+            "setup_s": statistics.median(setup_times),
             "samples_per_s": sum(r["op"]["samples"] for r in done) / sum(times) if times else 0.0,
             "op_p50_s": statistics.median(times) if times else 0.0,
             "op_tail_s": tail_value(times, TAIL_PERCENTILE) if times else 0.0,

@@ -1,21 +1,21 @@
 """Steadiness check: repeated runs of each workload, twice, against the bounds.
 
-    python3 bench/steadiness.py --seed 100 [--runs 10] [--sets 2] [--workloads series sweep]
+    python3 bench/steadiness.py --seed 100
 
-Each set runs every workload ``--runs`` times, run ``i`` of set ``s`` with
-seed ``seed + s * runs + i``, interleaving the workloads. For every end-to-end
-metric it reports, per set, the median and the interquartile distance as a
-share of the median (``statistics.quantiles(values, n=4)``), and the change of
-the median from the first set to each later one in the metric's worse
-direction. A metric passes when every spread (``setup_s`` excepted) and every
-worsening stays within its bound in BENCHMARK.json; the failed share must be
-identical in every run. Exit code 0 when all pass, 1 otherwise.
+Each of two sets runs every workload of BENCHMARK.json ten times for its
+``run_seconds``, run ``i`` of set ``s`` with seed ``seed + 10 * s + i``,
+interleaving the workloads. For every end-to-end metric it reports, per set,
+the median and the interquartile distance as a share of the median
+(``statistics.quantiles(values, n=4)``), and the change of the median from the
+first set to the second in the metric's worse direction. A metric passes when
+every spread and every worsening stays within its bound in BENCHMARK.json; the
+failed share must be identical in every run. Exit code 0 when all pass, 1
+otherwise.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -24,14 +24,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path(__file__).resolve().parent / "run.py"
+RUNS = 10
+SETS = 2
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     if done.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} exited {done.returncode}: {done.stderr}")
@@ -47,19 +48,16 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="seed of the first run")
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
     args = parser.parse_args()
     metrics = spec["end_to_end"]
+    workloads = [w["name"] for w in spec["workloads"]]
 
-    results: dict[str, list[list[dict]]] = {w: [[] for _ in range(args.sets)] for w in args.workloads}
-    for s in range(args.sets):
-        for i in range(args.runs):
-            for workload in args.workloads:
-                seed = args.seed + s * args.runs + i
-                result = run_once(workload, seed, args.seconds)
+    results: dict[str, list[list[dict]]] = {w: [[] for _ in range(SETS)] for w in workloads}
+    for s in range(SETS):
+        for i in range(RUNS):
+            for workload in workloads:
+                seed = args.seed + s * RUNS + i
+                result = run_once(workload, seed, spec["run_seconds"])
                 results[workload][s].append(result)
                 values = " ".join(
                     f"{m['name']}={result['metrics'][m['name']]['value']:.6g}" for m in metrics
@@ -82,9 +80,7 @@ def main() -> int:
             spreads = [spread(values) for values in per_set]
             sign = 1.0 if metric["better"] == "lower" else -1.0
             worsening = [sign * (m - medians[0]) / medians[0] for m in medians[1:]]
-            passed = all(w <= bound for w in worsening)
-            if name != "setup_s":
-                passed &= all(x <= bound for x in spreads)
+            passed = all(w <= bound for w in worsening) and all(x <= bound for x in spreads)
             ok &= passed
             summary[f"{workload}.{name}"] = dict(
                 medians=medians, spreads=spreads, worsening=worsening, bound=bound, passed=passed

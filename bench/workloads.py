@@ -118,9 +118,11 @@ def series_round(rng: np.random.Generator) -> list[dict]:
         op = _series_op(delta, n_photon, initial)
         op["argv"] = ["--preset", name]
         ops.append(op)
-    for n_photon, delta in zip(_photons(rng, 4), _stratified(rng, 4, 0.0, 1.0)):
-        ops.append(_series_op(delta, n_photon, "eg", pair=n_photon))
-        ops.append(_series_op(delta, n_photon, "ge", pair=n_photon))
+    # Pairs are keyed by their index: two stratified photon numbers can
+    # truncate to the same integer.
+    for k, (n_photon, delta) in enumerate(zip(_photons(rng, 4), _stratified(rng, 4, 0.0, 1.0))):
+        ops.append(_series_op(delta, n_photon, "eg", pair=k))
+        ops.append(_series_op(delta, n_photon, "ge", pair=k))
     for n_photon, delta, amplitudes in zip(
         _photons(rng, 8), _stratified(rng, 8, 0.0, 1.0), _random_products(rng, 8)
     ):
