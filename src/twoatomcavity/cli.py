@@ -11,7 +11,9 @@ same build produces byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +31,7 @@ from .linalg import MAX_DIM
 from .model import (
     ATOMIC_STATE_NAMES,
     DEFAULT_CUTOFF_MARGIN,
+    MIN_CUTOFF_MARGIN,
     SystemParams,
     TwoAtomAmplitudes,
     named_atomic_state,
@@ -188,7 +191,10 @@ def _parse_amplitudes(value: object) -> tuple[complex, complex, complex, complex
         raise ConfigError(f"amplitudes must be a comma list or array, got {value!r}")
     if len(parts) != 4:
         raise ConfigError(f"expected 4 amplitudes (a1,b1,a2,b2), got {len(parts)}")
-    return tuple(_parse_complex(part) for part in parts)  # type: ignore[return-value]
+    amplitudes = tuple(_parse_complex(part) for part in parts)
+    if not all(cmath.isfinite(amplitude) for amplitude in amplitudes):
+        raise ConfigError(f"amplitudes must be finite, got {value!r}")
+    return amplitudes  # type: ignore[return-value]
 
 
 def _parse_sweep(value: object) -> SweepSpec:
@@ -222,6 +228,8 @@ def _parse_sweep(value: object) -> SweepSpec:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {spec.param!r}")
     if spec.count < 2:
         raise ConfigError(f"sweep count must be >= 2, got {spec.count}")
+    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
+        raise ConfigError(f"sweep start and stop must be finite, got {value!r}")
     return spec
 
 
@@ -306,12 +314,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         fock_cutoff = None if merged["fock_cutoff"] is None else int(merged["fock_cutoff"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric configuration value: {exc}") from exc
+    if not math.isfinite(delta):
+        raise ConfigError(f"delta must be finite, got {delta}")
     if n_photon < 0:
         raise ConfigError(f"n_photon must be >= 0, got {n_photon}")
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
-    if not (tau_max > 0):
-        raise ConfigError(f"tau_max must be positive, got {tau_max}")
+    if not (0.0 < tau_max < math.inf):
+        raise ConfigError(f"tau_max must be positive and finite, got {tau_max}")
+    if fock_cutoff is not None:
+        swept = sweep is not None and sweep.param == "n_photon"
+        largest_n = max(_sweep_values(sweep)) if swept else n_photon  # type: ignore[arg-type]
+        if fock_cutoff < largest_n + MIN_CUTOFF_MARGIN:
+            raise ConfigError(
+                f"fock_cutoff={fock_cutoff} cannot hold the two-excitation ladder; "
+                f"need at least n_photon + {MIN_CUTOFF_MARGIN} = {largest_n + MIN_CUTOFF_MARGIN}"
+            )
 
     output_path = merged["output_path"] or _DEFAULT_OUTPUTS[mode]
     return RunConfig(
@@ -414,8 +432,11 @@ def run_sweep(config: RunConfig) -> int:
     """Write a CSV table of negativity summary statistics per parameter value.
 
     Columns: the swept value, the time-averaged negativity over the window,
-    the first time the negativity returns to zero (sentinel -1 when it never
-    does), and the count of such zeros.
+    the first time the negativity returns to zero, and the count of such
+    zeros.  The first-zero sentinel -1 means "no downward crossing of the
+    zero threshold in the window": either the negativity never rises above
+    the threshold (the pair is never entangled), or it rises above it and is
+    still above it at the window end.
     """
     spec = config.sweep
     assert spec is not None  # guaranteed by resolve_config

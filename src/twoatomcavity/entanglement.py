@@ -6,6 +6,13 @@ entangled ones.  The classifier matches the dominant eigenvector of the
 reduced state against a small family of entangled-state templates; it is
 deliberately coarse (the templates describe qualitative state shapes), and
 all of its thresholds are exposed as keyword arguments.
+
+Both measures are computed over stacks of density matrices by private
+kernels (``_negativity_stack``, ``_classify_stack``): the time series
+computes each sample's degree once and hands it to the classifier, which
+diagonalizes only the states that pass the separability gate and fits every
+template to all of them at once.  :func:`negativity` and :func:`classify`
+are stack-of-one wrappers over the same kernels.
 """
 from __future__ import annotations
 
@@ -60,14 +67,28 @@ class ClassMatch:
     template_params: dict[str, float]
 
 
-def _validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+def _as_density_stack(rho: np.ndarray) -> np.ndarray:
+    """One 4x4 matrix as a complex stack of one."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) >= TRACE_TOL:
-        raise NotNormalized(f"density matrix trace {trace!r} deviates from 1")
-    return rho
+    return rho[None]
+
+
+def _negativity_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entanglement degrees ``(batch,)`` and partial-transpose spectra ``(batch, 4)``.
+
+    Raises :class:`NotNormalized` naming the first matrix of the stack whose
+    trace is off by ``TRACE_TOL`` or more, or is not finite.
+    """
+    trace = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    off = ~(np.abs(trace - 1.0) < TRACE_TOL)
+    if np.any(off):
+        raise NotNormalized(
+            f"density matrix trace {float(trace[np.argmax(off)])!r} deviates from 1"
+        )
+    pt_eigenvalues, _ = linalg._eigh_stack(linalg._partial_transpose(rho))
+    return np.sum(np.abs(pt_eigenvalues), axis=-1) - 1.0, pt_eigenvalues
 
 
 def negativity(rho: np.ndarray) -> NegativityResult:
@@ -77,10 +98,8 @@ def negativity(rho: np.ndarray) -> NegativityResult:
     and returns ``sum(|eigenvalues|) - 1``.  No rounding or snapping is
     applied; separable states land within round-off of zero.
     """
-    rho = _validate_density_matrix(rho)
-    pt_eigenvalues = linalg.eig_hermitian(linalg.partial_transpose(rho)).eigenvalues
-    value = float(np.sum(np.abs(pt_eigenvalues)) - 1.0)
-    return NegativityResult(value=value, pt_eigenvalues=pt_eigenvalues)
+    values, pt_eigenvalues = _negativity_stack(_as_density_stack(rho))
+    return NegativityResult(value=float(values[0]), pt_eigenvalues=pt_eigenvalues[0])
 
 
 @dataclass(frozen=True)
@@ -150,9 +169,17 @@ def _build_templates() -> tuple[_Template, ...]:
 
 _TEMPLATES = _build_templates()
 
+_TEMPLATE_BY_LABEL = {template.label: template for template in _TEMPLATES}
 
-def _fit_template(state: np.ndarray, template: _Template) -> tuple[float, np.ndarray]:
-    """Best real-coefficient fit of ``state`` to a template, up to global phase.
+_SEPARABLE = CLASS_LABELS.index("separable")
+_UNCLASSIFIED = CLASS_LABELS.index("mixed_unclassified")
+
+#: Most coefficients any template has.
+_MAX_COEFFICIENTS = max(len(template.coefficient_names) for template in _TEMPLATES)
+
+
+def _fit_template(states: np.ndarray, template: _Template) -> tuple[np.ndarray, np.ndarray]:
+    """Best real-coefficient fit of each state to a template, up to global phase.
 
     With orthonormal real basis vectors ``v_i`` and projections
     ``p_i = <v_i|state>``, the squared overlap maximized over a global phase
@@ -160,28 +187,84 @@ def _fit_template(state: np.ndarray, template: _Template) -> tuple[float, np.nda
     phase is ``-arg(sum p_i^2) / 2``.  Requiring real coefficients is what
     distinguishes the templates from their complex spans.
 
+    Args:
+        states: unit vectors, shape ``(batch, 4)``.
+
     Returns:
-        (fidelity, named coefficients post-normalization).
+        (fidelities ``(batch,)``, named coefficients post-normalization
+        ``(batch, len(template.coefficient_names))``).
     """
-    projections = template.basis @ state
-    power = float(np.sum(np.abs(projections) ** 2))
-    phase_sum = complex(np.sum(projections**2))
-    fidelity = 0.5 * (power + abs(phase_sum))
-    fidelity = float(min(max(fidelity, 0.0), 1.0))
-    phase = 0.0 if abs(phase_sum) < 1e-30 else -0.5 * np.angle(phase_sum)
-    coefficients = np.real(np.exp(1j * phase) * projections)
-    if coefficients[int(np.argmax(np.abs(coefficients)))] < 0.0:
-        coefficients = -coefficients
+    projections = states @ template.basis.T
+    power = np.sum(np.abs(projections) ** 2, axis=1)
+    phase_sum = np.sum(projections**2, axis=1)
+    fidelity = np.clip(0.5 * (power + np.abs(phase_sum)), 0.0, 1.0)
+    phase = np.where(np.abs(phase_sum) < 1e-30, 0.0, -0.5 * np.angle(phase_sum))
+    coefficients = np.real(np.exp(1j * phase)[:, None] * projections)
+    leading = np.take_along_axis(
+        coefficients, np.argmax(np.abs(coefficients), axis=1)[:, None], axis=1
+    )
+    coefficients = np.where(leading < 0.0, -coefficients, coefficients)
     return fidelity, coefficients / template.scale
 
 
-def _constraint_satisfied(template: _Template, coefficients: np.ndarray, floor: float) -> bool:
+def _constraint_satisfied(
+    template: _Template, coefficients: np.ndarray, floor: float
+) -> np.ndarray:
     magnitudes = np.abs(coefficients)
     if template.constraint == "all":
-        return bool(np.all(magnitudes >= floor))
+        return np.all(magnitudes >= floor, axis=1)
     if template.constraint == "any_first_two":
-        return bool(np.max(magnitudes[:2]) >= floor)
-    return True
+        return np.max(magnitudes[:, :2], axis=1) >= floor
+    return np.ones(len(coefficients), dtype=bool)
+
+
+def _classify_stack(
+    rho: np.ndarray,
+    degree: np.ndarray,
+    *,
+    separable_threshold: float = SEPARABLE_THRESHOLD,
+    purity_threshold: float = PURITY_THRESHOLD,
+    residual_threshold: float = RESIDUAL_THRESHOLD,
+    coefficient_floor: float = COEFFICIENT_FLOOR,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify a stack of states whose entanglement degrees are known.
+
+    Follows the decision order of :func:`classify`.  Only the states that
+    pass the separability gate are diagonalized, and every template is fitted
+    to all of their dominant eigenvectors at once.
+
+    Returns:
+        (indices into ``CLASS_LABELS`` ``(batch,)``, fidelities ``(batch,)``,
+        coefficients of the matched template ``(batch, _MAX_COEFFICIENTS)``,
+        zero-padded and zero where no template matched).
+    """
+    count = len(rho)
+    labels = np.where(degree < separable_threshold, _SEPARABLE, _UNCLASSIFIED)
+    fidelities = np.zeros(count)
+    coefficients = np.zeros((count, _MAX_COEFFICIENTS))
+    gated = np.flatnonzero(labels != _SEPARABLE)
+    if gated.size == 0:
+        return labels, fidelities, coefficients
+    eigenvalues, eigenvectors = linalg._eigh_stack(rho[gated])
+    pure = ~(eigenvalues[:, -1] < purity_threshold)
+    fitted = gated[pure]
+    states = eigenvectors[pure, :, -1]
+    open_ = np.ones(len(fitted), dtype=bool)
+    best = np.zeros(len(fitted))
+    for template in _TEMPLATES:
+        fidelity, named = _fit_template(states, template)
+        residual = np.sqrt(np.maximum(0.0, 1.0 - fidelity))
+        match = open_ & (residual < residual_threshold) & _constraint_satisfied(
+            template, named, coefficient_floor
+        )
+        best = np.fmax(best, fidelity)
+        rows = fitted[match]
+        labels[rows] = CLASS_LABELS.index(template.label)
+        fidelities[rows] = fidelity[match]
+        coefficients[rows, : named.shape[1]] = named[match]
+        open_ &= ~match
+    fidelities[fitted[open_]] = best[open_]
+    return labels, fidelities, coefficients
 
 
 def classify(
@@ -210,26 +293,21 @@ def classify(
     deterministic: a state only reaches a general template after the more
     specific ones have declined it.
     """
-    rho = _validate_density_matrix(rho)
-    degree = negativity(rho).value
-    if degree < separable_threshold:
-        return ClassMatch(label="separable", fidelity=0.0, template_params={})
-    system = linalg.eig_hermitian(rho)
-    dominant_value = float(system.eigenvalues[-1])
-    if dominant_value < purity_threshold:
-        return ClassMatch(label="mixed_unclassified", fidelity=0.0, template_params={})
-    state = system.eigenvectors[:, -1]
-    best_fidelity = 0.0
-    for template in _TEMPLATES:
-        fidelity, coefficients = _fit_template(state, template)
-        best_fidelity = max(best_fidelity, fidelity)
-        residual = float(np.sqrt(max(0.0, 1.0 - fidelity)))
-        if residual < residual_threshold and _constraint_satisfied(
-            template, coefficients, coefficient_floor
-        ):
-            named = {
-                name: float(value)
-                for name, value in zip(template.coefficient_names, coefficients)
-            }
-            return ClassMatch(label=template.label, fidelity=fidelity, template_params=named)
-    return ClassMatch(label="mixed_unclassified", fidelity=best_fidelity, template_params={})
+    stack = _as_density_stack(rho)
+    degree, _ = _negativity_stack(stack)
+    labels, fidelities, coefficients = _classify_stack(
+        stack,
+        degree,
+        separable_threshold=separable_threshold,
+        purity_threshold=purity_threshold,
+        residual_threshold=residual_threshold,
+        coefficient_floor=coefficient_floor,
+    )
+    label = CLASS_LABELS[labels[0]]
+    template = _TEMPLATE_BY_LABEL.get(label)
+    names = () if template is None else template.coefficient_names
+    return ClassMatch(
+        label=label,
+        fidelity=float(fidelities[0]),
+        template_params=dict(zip(names, coefficients[0].tolist())),
+    )

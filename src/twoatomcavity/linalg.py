@@ -4,6 +4,14 @@ Everything in this module operates on matrices of dimension at most
 ``MAX_DIM`` (4x4 for the two-atom reduced state, up to 64x64 for the
 truncated atoms-plus-field space).  All functions are pure and
 deterministic: identical inputs produce identical outputs.
+
+The work is done by private stack kernels (``_eigh_stack``,
+``_partial_trace_stack``, ``_partial_transpose``) that take a leading batch
+axis, so :func:`twoatomcavity.dynamics.time_series` evaluates a whole chunk
+of its time grid in one call per kernel.  The public functions are
+stack-of-one wrappers over them: one matrix or state in, one result out.
+Stacking changes no bits: NumPy's ``eigh`` and ``matmul`` apply the same
+LAPACK/BLAS routine to each matrix of a stack as to a single matrix.
 """
 from __future__ import annotations
 
@@ -51,9 +59,32 @@ def _validate_square(m: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Return ``max|m - m^dagger|``, the distance from Hermiticity."""
+    """Return ``max|m - m^dagger|``, the distance from Hermiticity.
+
+    For a stack of matrices (shape ``(..., d, d)``) this is the largest
+    defect over the stack.
+    """
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
+
+
+def _eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a stack of Hermitian matrices, shape ``(..., d, d)``.
+
+    Returns ascending eigenvalues ``(..., d)`` and eigenvector columns
+    ``(..., d, d)``.  Raises :class:`NotHermitian` if any matrix of the stack
+    is not Hermitian within ``HERMITICITY_TOL`` (non-finite entries fail this
+    check too) and :class:`ConvergenceFailure` on non-convergence.
+    """
+    defect = hermiticity_defect(m)
+    if not defect < HERMITICITY_TOL:
+        raise NotHermitian(
+            f"max|m - m^dagger| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
@@ -71,17 +102,8 @@ def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
         ConvergenceFailure: if the underlying iteration does not converge.
         ValueError: for non-square, oversized, or non-finite input.
     """
-    m = _validate_square(m)
-    defect = hermiticity_defect(m)
-    if defect >= HERMITICITY_TOL:
-        raise NotHermitian(
-            f"max|m - m^dagger| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    return HermitianEigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    eigenvalues, eigenvectors = _eigh_stack(_validate_square(m)[None])
+    return HermitianEigensystem(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
 
 
 def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:
@@ -101,6 +123,27 @@ def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:
     phases = np.exp(-1j * system.eigenvalues * t)
     v = system.eigenvectors
     return (v * phases) @ v.conj().T
+
+
+def _partial_trace_stack(amplitudes: np.ndarray) -> np.ndarray:
+    """Reduced atomic matrices of a stack of joint states.
+
+    ``amplitudes`` has shape ``(batch, n_atomic, field_dim)``; the result is
+    ``(batch, n_atomic, n_atomic)``.  Raises :class:`NotNormalized` naming the
+    first state of the stack whose squared norm is off by
+    ``NORMALIZATION_TOL`` or more, or is not finite.
+    """
+    norm_sq = np.sum((np.abs(amplitudes) ** 2).reshape(len(amplitudes), -1), axis=1)
+    off = ~(np.abs(norm_sq - 1.0) < NORMALIZATION_TOL)
+    if np.any(off):
+        raise NotNormalized(
+            f"squared norm {float(norm_sq[np.argmax(off)])!r} deviates from 1 beyond "
+            f"{NORMALIZATION_TOL:.0e}"
+        )
+    rho = amplitudes @ np.swapaxes(amplitudes.conj(), -1, -2)
+    rescale = norm_sq != 1.0
+    rho[rescale] /= norm_sq[rescale, None, None]
+    return rho
 
 
 def partial_trace_field(psi: np.ndarray, n_atomic: int = 4) -> np.ndarray:
@@ -132,15 +175,13 @@ def partial_trace_field(psi: np.ndarray, n_atomic: int = 4) -> np.ndarray:
         amplitudes = psi
     else:
         raise ValueError(f"cannot interpret state of shape {psi.shape}")
-    norm_sq = float(np.sum(np.abs(amplitudes) ** 2))
-    if abs(norm_sq - 1.0) >= NORMALIZATION_TOL:
-        raise NotNormalized(
-            f"squared norm {norm_sq!r} deviates from 1 beyond {NORMALIZATION_TOL:.0e}"
-        )
-    rho = amplitudes @ amplitudes.conj().T
-    if norm_sq != 1.0:
-        rho = rho / norm_sq
-    return rho
+    return _partial_trace_stack(amplitudes[None])[0]
+
+
+def _partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Partial transpose over the second atom of any stack ``(..., 4, 4)``."""
+    shape = rho.shape
+    return rho.reshape(*shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(shape)
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
@@ -154,4 +195,4 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return _partial_transpose(rho)

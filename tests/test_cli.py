@@ -64,6 +64,25 @@ class TestArgumentHandling:
     def test_custom_amplitudes_unparseable(self):
         assert run_cli(["--initial", "custom", "--amplitudes", "a,b,c,d"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--delta", "nan"],
+            ["--tau-max", "inf"],
+            ["--initial", "custom", "--amplitudes", "1,0,nan,1"],
+            ["--fock-cutoff", "2"],
+            ["--sweep", "n_photon:0:9:3", "--fock-cutoff", "12"],
+            ["--sweep", "delta:nan:1:3"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_or_undersized_input_exits_1(self, argv, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_oversized_system_exits_1(self, capsys):
         assert run_cli(["--n-photon", "20"]) == 1
         assert "maximum" in capsys.readouterr().err

@@ -1,9 +1,14 @@
 """Reduced-dynamics tests: time series, series statistics, subspace routes."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoatomcavity import dynamics
 from twoatomcavity.dynamics import (
     TimeSeriesRecord,
     average_negativity,
@@ -15,6 +20,8 @@ from twoatomcavity.dynamics import (
     populations,
     time_series,
 )
+from twoatomcavity.entanglement import SEPARABLE_THRESHOLD, classify, negativity
+from twoatomcavity.errors import NotNormalized, TruncationLeak
 from twoatomcavity.model import (
     SystemParams,
     TwoAtomAmplitudes,
@@ -230,8 +237,6 @@ class TestTimeSeries:
     def test_matches_pointwise_evolution(self):
         params = SystemParams(delta=0.5, n_photon=0)
         records = time_series(params, named_atomic_state("ee"), 3.0, 7)
-        from twoatomcavity.entanglement import negativity
-
         for record in records:
             rho = evolve_reduced(params, named_atomic_state("ee"), record.tau)
             assert record.p_ee == pytest.approx(float(np.real(rho[0, 0])), abs=1e-10)
@@ -260,10 +265,78 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             time_series(params, named_atomic_state("ee"), 0.0, 5)
 
+    @pytest.mark.parametrize("tau_max", [np.inf, np.nan])
+    def test_rejects_non_finite_window(self, tau_max):
+        params = SystemParams(delta=0.0, n_photon=0)
+        with pytest.raises(ValueError):
+            time_series(params, named_atomic_state("ee"), tau_max, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_phase_is_a_computation_error(self):
+        # tau * eigenvalue overflows to inf, so the phases and the state are NaN.
+        params = SystemParams(delta=0.0, n_photon=0)
+        with pytest.raises(NotNormalized, match="nan"):
+            time_series(params, named_atomic_state("ee"), 1e308, 3)
+
+    def test_leak_message_names_first_offending_tau(self, monkeypatch):
+        # At tau ~ 1e4 round-off mixes nearly degenerate eigenvectors of the
+        # truncated space across excitation blocks and trips the guard. Every
+        # chunk size, down to one sample at a time, must name the same first
+        # offending tau of the grid, as a plain number.
+        params = SystemParams(delta=0.1, n_photon=2)
+        messages = []
+        for chunk in (dynamics._CHUNK_SAMPLES, 4, 1):
+            monkeypatch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+            with pytest.raises(TruncationLeak) as caught:
+                time_series(params, named_atomic_state("eg"), 1e6, 1001)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == messages[2]
+        match = re.fullmatch(
+            r"amplitude \d\.\d{3}e-\d{2} on the top two Fock levels at "
+            r"tau=(\d+\.\d+); raise fock_cutoff",
+            messages[0],
+        )
+        assert match is not None, messages[0]
+        assert float(match.group(1)) in np.linspace(0.0, 1e6, 1001)[1:]
+
     def test_rejects_bad_initial_vector(self):
         params = SystemParams(delta=0.0, n_photon=0)
         with pytest.raises(ValueError):
             time_series(params, np.ones(3), 1.0, 5)
+
+
+def _product(theta: float, chi: float, phi: float) -> tuple[complex, complex]:
+    return np.cos(theta / 2) * np.exp(1j * chi), np.sin(theta / 2) * np.exp(1j * phi)
+
+
+_angles = st.floats(0.0, np.pi)
+_phases = st.floats(0.0, 2 * np.pi)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(-1.0, 1.0),
+    n_photon=st.integers(0, 9),
+    atom1=st.tuples(_angles, _phases, _phases),
+    atom2=st.tuples(_angles, _phases, _phases),
+    tau_max=st.floats(0.1, 12.0),
+    steps=st.integers(2, 200),
+)
+def test_batched_series_matches_scalar_route(delta, n_photon, atom1, atom2, tau_max, steps):
+    """Every chunked record equals evolve_reduced -> populations/negativity/classify."""
+    (a1, b1), (a2, b2) = _product(*atom1), _product(*atom2)
+    initial = TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2)
+    params = SystemParams(delta=delta, n_photon=n_photon)
+    records = time_series(params, initial, tau_max, steps)
+    assert len(records) == steps
+    for record in records:
+        rho = evolve_reduced(params, initial, record.tau)
+        assert np.allclose(record.populations, populations(rho), rtol=0.0, atol=1e-10)
+        degree = negativity(rho).value
+        assert abs(record.negativity - degree) < 1e-10
+        if abs(degree - SEPARABLE_THRESHOLD) > 1e-9:
+            assert record.class_label == classify(rho).label, record
 
 
 class TestSeriesStatistics:
