@@ -259,3 +259,47 @@ def first_downward_crossing(taus, values, threshold: float) -> float | None:
         return None
     k = int(drops[0])
     return float(np.interp(threshold, [values[k + 1], values[k]], [taus[k + 1], taus[k]]))
+
+
+def exact_excited_pair_series(
+    delta: float, n_photon: int, tau_max: float, steps: int, dps: int = 40
+) -> list[tuple]:
+    """Populations and negativity of ``|ee, n>`` on a uniform grid, at ``dps`` digits.
+
+    The pair rides the excitation block ``(ee, n), (eg, n+1), (ge, n+1),
+    (gg, n+2)`` with diagonal ``(+delta, 0, 0, -delta)`` and couplings
+    ``sqrt(n+1)`` and ``sqrt(n+2)``.  The block is diagonalized once in
+    ``mpmath`` arithmetic and each sample ``tau_k = k * tau_max / (steps - 1)``
+    rotates the phases of its eigenvectors.  Tracing out the field leaves an
+    X-state whose only coherence is ``eg/ge``; its partial transpose has the
+    eigenvalues ``p_eg``, ``p_ge`` and those of the 2x2 block
+    ``[[p_ee, |b c|], [|b c|, p_gg]]``, and the negativity is
+    ``sum|eigenvalues| - 1``.
+
+    Returns one ``(tau, p_ee, p_eg, p_ge, p_gg, negativity)`` tuple of
+    ``mpmath.mpf`` per sample.
+    """
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    d = ctx.mpf(delta)
+    gamma, beta = ctx.sqrt(n_photon + 1), ctx.sqrt(n_photon + 2)
+    hamiltonian = ctx.matrix(
+        [[d, gamma, gamma, 0], [gamma, 0, 0, beta], [gamma, 0, 0, beta], [0, beta, beta, -d]]
+    )
+    eigenvalues, eigenvectors = ctx.eigsy(hamiltonian)
+    rows = []
+    for k in range(steps):
+        tau = ctx.mpf(k) * ctx.mpf(tau_max) / (steps - 1)
+        # Start in basis state 0: amplitude_j = sum_l V[j, l] V[0, l] exp(-i w_l tau).
+        weights = [eigenvectors[0, l] * ctx.expj(-eigenvalues[l] * tau) for l in range(4)]
+        a, b, c, e = (
+            ctx.fsum(eigenvectors[j, l] * weights[l] for l in range(4)) for j in range(4)
+        )
+        p_ee, p_eg, p_ge, p_gg = (abs(x) ** 2 for x in (a, b, c, e))
+        coherence = abs(b) * abs(c)
+        radius = ctx.sqrt(((p_ee - p_gg) / 2) ** 2 + coherence**2)
+        spectrum = (p_eg, p_ge, (p_ee + p_gg) / 2 + radius, (p_ee + p_gg) / 2 - radius)
+        rows.append((tau, p_ee, p_eg, p_ge, p_gg, ctx.fsum(abs(x) for x in spectrum) - 1))
+    return rows

@@ -10,6 +10,8 @@ import pytest
 from twoatomcavity import cli
 from twoatomcavity.errors import DegenerateRoots
 
+from oracles import exact_excited_pair_series
+
 
 def run_cli(args: list[str]) -> int:
     return cli.main(args)
@@ -178,6 +180,23 @@ class TestSeriesMode:
         assert code == 0
         golden = (data_dir / "golden_series_ee_d0.5_n0.csv").read_bytes()
         assert out.read_bytes() == golden
+
+    def test_golden_file_is_exact_to_its_last_digit(self, data_dir):
+        # Every printed value lies within one unit of its 12th significant
+        # digit of a 40-digit evaluation; a printed 0 stands for |exact| < 1e-14.
+        import mpmath
+
+        lines = (data_dir / "golden_series_ee_d0.5_n0.csv").read_text().splitlines()
+        exact = exact_excited_pair_series(0.5, 0, 10.0, 1001)
+        assert len(lines) == 1 + len(exact)
+        for line, values in zip(lines[1:], exact):
+            fields = line.split(",")[:6]
+            for printed, value in zip(fields, values):
+                if float(printed) == 0.0:
+                    assert abs(value) < cli.FORMAT_SNAP_TOL, (line, printed)
+                    continue
+                unit = mpmath.mpf(10) ** (int(printed.split("e")[1]) - 11)
+                assert abs(mpmath.mpf(printed) - value) <= unit, (line, printed, value)
 
 
 class TestSweepMode:

@@ -1,11 +1,12 @@
-"""Byte-identity of series and sweep artifacts against a recorded digest table.
+"""Byte-identity of series, sweep and audit artifacts against a recorded digest table.
 
 ``data/series_digests.json`` maps each command line below to the sha256 of
-the file it writes. The table pins the CSV bytes across refactors of the
-sample pipeline: the 13 presets, entangled and custom preparations at several
-(delta, n_photon) points, and step counts on both sides of the time-series
-chunk boundary (2, 127, 128, 129 and 1001), plus one delta and one
-photon-number sweep.
+the file it writes followed by what it prints to stdout. The table pins the
+CSV bytes across refactors of the sample pipeline: the 13 presets, entangled
+and custom preparations at several (delta, n_photon) points, and step counts
+on both sides of the time-series chunk boundary (2, 127, 128, 129 and 1001),
+plus one delta and one photon-number sweep. It also pins the JSON report and
+the text table of six closed-form audits.
 
 Regenerate the table (only when an output change is intended) with::
 
@@ -13,7 +14,9 @@ Regenerate the table (only when an output change is intended) with::
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -31,6 +34,10 @@ CUSTOM_AMPLITUDES = ("0.6,0.8,0.8,0.6j", "0.28,0.96j,1,0")
 POINTS = (("0.0", "0", "10"), ("0.37", "3", "3.7"), ("1.0", "9", "10"))
 
 STEPS = ("2", "127", "128", "129", "1001")
+
+AUDIT_DELTAS = ("0", "0.37", "1")
+
+AUDIT_PHOTONS = ("0", "9")
 
 
 def _cases() -> list[tuple[str, ...]]:
@@ -52,6 +59,9 @@ def _cases() -> list[tuple[str, ...]]:
         ("--sweep", "n_photon:0:9:10", "--initial", "custom", "--amplitudes",
          CUSTOM_AMPLITUDES[0], "--delta", "0.4", "--steps", "201")
     )
+    for delta in AUDIT_DELTAS:
+        for n_photon in AUDIT_PHOTONS:
+            cases.append(("--mode", "audit", "--delta", delta, "--n-photon", n_photon))
     return cases
 
 
@@ -59,10 +69,12 @@ CASES = _cases()
 
 
 def _digest(argv: tuple[str, ...], directory: Path) -> str:
-    out = directory / "artifact.csv"
-    code = cli.main([*argv, "--output", str(out)])
+    out = directory / "artifact"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([*argv, "--output", str(out)])
     assert code == 0, argv
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return hashlib.sha256(out.read_bytes() + stdout.getvalue().encode()).hexdigest()
 
 
 def test_table_covers_every_case():
