@@ -12,7 +12,6 @@ from .dynamics import (
     TimeSeriesRecord,
     average_negativity,
     evolve_reduced,
-    evolve_reduced_subspace,
     first_negativity_zero,
     midline_crossing_count,
     negativity_zero_count,
@@ -86,7 +85,6 @@ __all__ = [
     "classify",
     "eig_hermitian",
     "evolve_reduced",
-    "evolve_reduced_subspace",
     "expm_i_hermitian",
     "first_negativity_zero",
     "full_hamiltonian",

@@ -4,9 +4,12 @@ Configuration comes from four layers, later layers overriding earlier ones:
 built-in defaults, a named ``--preset``, a JSON ``--config`` file whose keys
 mirror the run-configuration fields, and explicit command-line flags.
 
-Exit codes: 0 on success, 1 on invalid input, 2 on a computation error.
-Output files are deterministic: re-running the same configuration on the
-same build produces byte-identical bytes.
+Series and sweeps evolve each excitation block exactly, so any photon
+number and any finite window is accepted.  Exit codes: 0 on success, 1 on
+invalid input (a one-line ``error:`` message), 2 on a computation error such
+as a time window whose phases overflow.  Output files are deterministic:
+re-running the same configuration on the same build produces byte-identical
+bytes.
 """
 from __future__ import annotations
 
@@ -27,11 +30,8 @@ from .dynamics import (
     time_series,
 )
 from .errors import NotNormalized, TwoAtomCavityError
-from .linalg import MAX_DIM
 from .model import (
     ATOMIC_STATE_NAMES,
-    DEFAULT_CUTOFF_MARGIN,
-    MIN_CUTOFF_MARGIN,
     SystemParams,
     TwoAtomAmplitudes,
     named_atomic_state,
@@ -89,7 +89,6 @@ _CONFIG_KEYS = (
     "amplitudes",
     "tau_max",
     "steps",
-    "fock_cutoff",
     "output_path",
     "sweep",
 )
@@ -122,7 +121,6 @@ class RunConfig:
     amplitudes: tuple[complex, complex, complex, complex] | None
     tau_max: float
     steps: int
-    fock_cutoff: int | None
     output_path: str
     sweep: SweepSpec | None
 
@@ -160,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(per atom: a|ground> + b|excited>)")
     parser.add_argument("--tau-max", type=float, default=None, help="end of the time window")
     parser.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")
-    parser.add_argument("--fock-cutoff", type=int, default=None,
-                        help="highest retained photon number (default n_photon + "
-                             f"{DEFAULT_CUTOFF_MARGIN})")
     parser.add_argument("--output", default=None, metavar="PATH", help="output file path")
     parser.add_argument("--sweep", default=None, metavar="PARAM:START:STOP:COUNT",
                         help="scan a parameter (delta or n_photon)")
@@ -230,6 +225,7 @@ def _parse_sweep(value: object) -> SweepSpec:
         raise ConfigError(f"sweep count must be >= 2, got {spec.count}")
     if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
         raise ConfigError(f"sweep start and stop must be finite, got {value!r}")
+    _sweep_values(spec)
     return spec
 
 
@@ -260,7 +256,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         "amplitudes": None,
         "tau_max": 10.0,
         "steps": 1001,
-        "fock_cutoff": None,
         "output_path": None,
         "sweep": None,
     }
@@ -276,7 +271,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         "amplitudes": args.amplitudes,
         "tau_max": args.tau_max,
         "steps": args.steps,
-        "fock_cutoff": args.fock_cutoff,
         "output_path": args.output,
         "sweep": args.sweep,
     }
@@ -311,7 +305,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         n_photon = int(merged["n_photon"])
         tau_max = float(merged["tau_max"])
         steps = int(merged["steps"])
-        fock_cutoff = None if merged["fock_cutoff"] is None else int(merged["fock_cutoff"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric configuration value: {exc}") from exc
     if not math.isfinite(delta):
@@ -322,14 +315,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"steps must be >= 2, got {steps}")
     if not (0.0 < tau_max < math.inf):
         raise ConfigError(f"tau_max must be positive and finite, got {tau_max}")
-    if fock_cutoff is not None:
-        swept = sweep is not None and sweep.param == "n_photon"
-        largest_n = max(_sweep_values(sweep)) if swept else n_photon  # type: ignore[arg-type]
-        if fock_cutoff < largest_n + MIN_CUTOFF_MARGIN:
-            raise ConfigError(
-                f"fock_cutoff={fock_cutoff} cannot hold the two-excitation ladder; "
-                f"need at least n_photon + {MIN_CUTOFF_MARGIN} = {largest_n + MIN_CUTOFF_MARGIN}"
-            )
 
     output_path = merged["output_path"] or _DEFAULT_OUTPUTS[mode]
     return RunConfig(
@@ -340,7 +325,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         amplitudes=amplitudes,
         tau_max=tau_max,
         steps=steps,
-        fock_cutoff=fock_cutoff,
         output_path=str(output_path),
         sweep=sweep,
     )
@@ -367,18 +351,7 @@ def _normalized_custom_amplitudes(
 def _system_params(config: RunConfig, n_photon: int | None = None, delta: float | None = None) -> SystemParams:
     n = config.n_photon if n_photon is None else n_photon
     d = config.delta if delta is None else delta
-    if config.fock_cutoff is None:
-        return SystemParams(delta=d, n_photon=n)
-    return SystemParams(delta=d, n_photon=n, fock_cutoff=config.fock_cutoff)
-
-
-def _check_full_space_dimension(params: SystemParams) -> None:
-    dim = 4 * params.field_dim
-    if dim > MAX_DIM:
-        raise ConfigError(
-            f"full-space dimension 4*(fock_cutoff+1) = {dim} exceeds the supported "
-            f"maximum {MAX_DIM}; reduce n_photon or fock_cutoff"
-        )
+    return SystemParams(delta=d, n_photon=n)
 
 
 def _initial_for(config: RunConfig):
@@ -397,7 +370,6 @@ def _format_float(value: float) -> str:
 def run_series(config: RunConfig) -> int:
     """Write a CSV time series of populations, negativity, and class labels."""
     params = _system_params(config)
-    _check_full_space_dimension(params)
     records = time_series(params, _initial_for(config), config.tau_max, config.steps)
     lines = [SERIES_HEADER]
     for record in records:
@@ -424,6 +396,12 @@ def _sweep_values(spec: SweepSpec) -> list[float] | list[int]:
         values = [int(round(value)) for value in grid]
         if any(value < 0 for value in values):
             raise ConfigError("n_photon sweep values must be >= 0")
+        repeated = sorted({value for value in values if values.count(value) > 1})
+        if repeated:
+            raise ConfigError(
+                f"n_photon sweep rounds {spec.count} points onto repeated values {repeated}; "
+                "use at most one point per integer"
+            )
         return values
     return [float(value) for value in grid]
 
@@ -448,7 +426,6 @@ def run_sweep(config: RunConfig) -> int:
             params = _system_params(config, delta=float(value))
         else:
             params = _system_params(config, n_photon=int(value))
-        _check_full_space_dimension(params)
         records = time_series(params, initial, config.tau_max, config.steps)
         first_zero = first_negativity_zero(records)
         row = [

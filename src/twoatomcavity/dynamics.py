@@ -1,38 +1,32 @@
 """Reduced two-atom dynamics over a time grid.
 
-The authoritative path evolves the joint atoms-plus-field state in the
-truncated full space and traces the field out exactly.  For initial states
-confined to a single invariant subspace (|ee, n> or, for ``n >= 2``,
-|gg, n>), the reduced state is also computable from the four subspace
-amplitudes alone; both paths agree within 1e-10 and the subspace route
-exists as a cross-check, not as the production path.
-
-:func:`time_series` diagonalizes the full Hamiltonian once and then walks
-its time grid in chunks of ``_CHUNK_SAMPLES`` samples.  Each chunk costs a
-few stacked array operations: one phase rotation of every sample, the
-truncation and norm checks, the partial traces, one stacked partial-transpose
-spectrum (the negativity, computed once per sample and handed to the
-classifier) and one classification pass.  The chunk size bounds the memory
-of the stacked arrays; the records are bit-identical to evaluating each
-sample on its own with :func:`evolve_reduced`'s building blocks.
+The interaction conserves the excitation number, so a preparation
+``|atoms> ⊗ |n>`` evolves inside at most three excitation blocks of at most
+four states each (Tavis & Cummings 1968): |ee, n> lies in the block whose
+lowest photon number is n, |eg, n> and |ge, n> in the block of n - 1, and
+|gg, n> in the block of n - 2.  :func:`time_series` diagonalizes each block
+on its own, places the amplitudes on the photon levels n-2..n+2 and walks
+its time grid in chunks of ``_CHUNK_SAMPLES`` samples, which bounds the
+memory of the stacked arrays; no Fock space is truncated.
+:func:`evolve_reduced` evolves the truncated full space instead and is kept
+as an independent oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import entanglement, linalg
-from .errors import TruncationLeak
 from .model import (
+    BLOCK_PHOTON_OFFSETS,
     SystemParams,
     TwoAtomAmplitudes,
-    full_hamiltonian,
+    excitation_block,
     joint_state_from_atomic,
-    subspace_hamiltonian,
 )
-from .propagator import TRUNCATION_TOL, propagate_full
+from .propagator import propagate_full
 
 #: Populations more negative than this are genuine violations, not round-off.
 POPULATION_CLAMP = 1e-12
@@ -79,54 +73,12 @@ def evolve_reduced(
     """Reduced two-atom density matrix at scaled time ``tau``.
 
     Evolves the joint state in the truncated full space, then traces out the
-    field.  ``initial`` is a product-state description or a length-4 atomic
+    field: the independent oracle for :func:`time_series`.  ``initial`` is a product-state description or a length-4 atomic
     vector (basis |ee>, |eg>, |ge>, |gg>) tensored with ``|n_photon>``.
     """
     psi0 = joint_state_from_atomic(_atomic_vector_of(initial), params)
     evolved = propagate_full(params, tau, psi0)
     return linalg.partial_trace_field(evolved)
-
-
-def _single_subspace_rho(amplitudes: np.ndarray) -> np.ndarray:
-    """Reduced matrix for four amplitudes riding one invariant subspace.
-
-    The four joint components live on photon sectors (n, n+1, n+1, n+2), so
-    field orthogonality kills every coherence except the middle pair, which
-    shares one sector.
-    """
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[np.arange(4), np.arange(4)] = np.abs(amplitudes) ** 2
-    rho[1, 2] = amplitudes[1] * np.conj(amplitudes[2])
-    rho[2, 1] = np.conj(rho[1, 2])
-    return rho
-
-
-def evolve_reduced_subspace(params: SystemParams, which: str, tau: float) -> np.ndarray:
-    """Reduced density matrix via the 4-dimensional subspace only.
-
-    Supports ``which="ee"`` (any photon number) and ``which="gg"`` for
-    ``n_photon >= 2`` (the ladder from |gg, n> is the subspace built on
-    ``n_photon - 2``).  Exists as an independent route for agreement tests.
-    """
-    if which == "ee":
-        u = linalg.expm_i_hermitian(subspace_hamiltonian(params), tau)
-        amplitudes = u[:, 0]
-    elif which == "gg":
-        if params.n_photon < 2:
-            raise ValueError(
-                "the subspace route for a ground-state pair needs n_photon >= 2; "
-                "below that the ladder truncates and the full-space path applies"
-            )
-        shifted = replace(
-            params,
-            n_photon=params.n_photon - 2,
-            fock_cutoff=params.fock_cutoff,
-        )
-        u = linalg.expm_i_hermitian(subspace_hamiltonian(shifted), tau)
-        amplitudes = u[:, 3]
-    else:
-        raise ValueError(f"subspace route supports 'ee' or 'gg', got {which!r}")
-    return _single_subspace_rho(amplitudes)
 
 
 def _populations_stack(rho: np.ndarray) -> np.ndarray:
@@ -145,6 +97,32 @@ def populations(rho: np.ndarray) -> tuple[float, float, float, float]:
     return tuple(clamped.tolist())  # type: ignore[return-value]
 
 
+#: Photon levels n-2..n+2 on which the amplitudes of a sample are placed.
+_LEVELS = 5
+
+
+def _populated_blocks(params: SystemParams, atomic: np.ndarray) -> list[tuple]:
+    """Eigensystem, initial coefficients and state positions of each populated block.
+
+    The block whose lowest photon number is ``n - shift`` holds the prepared
+    states at photon ``n`` whose photon offset equals ``shift``: |ee> for 0,
+    |eg> and |ge> for 1, |gg> for 2.  Each block the preparation populates is
+    diagonalized on its own; its states sit at atomic index ``kept`` and
+    photon level ``offset + 2 - shift`` of the levels n-2..n+2.
+    """
+    offsets = np.array(BLOCK_PHOTON_OFFSETS)
+    blocks = []
+    for shift in (0, 1, 2):
+        start = np.where(offsets == shift, atomic, 0.0)
+        if not np.any(start):
+            continue
+        hamiltonian, kept = excitation_block(params.delta, params.n_photon - shift)
+        system = linalg.eig_hermitian(hamiltonian)
+        coefficients = system.eigenvectors.conj().T @ start[kept]
+        blocks.append((system, coefficients, kept, offsets[kept] + 2 - shift))
+    return blocks
+
+
 def time_series(
     params: SystemParams,
     initial: TwoAtomAmplitudes | np.ndarray,
@@ -154,44 +132,41 @@ def time_series(
 ) -> list[TimeSeriesRecord]:
     """Sample the reduced dynamics on a uniform grid over ``[0, tau_max]``.
 
-    The grid is ``tau_k = k * tau_max / (steps - 1)``.  The full Hamiltonian
-    is diagonalized once; the grid is then evaluated in chunks of
-    ``_CHUNK_SAMPLES`` samples, each chunk costing one stacked phase rotation,
-    one stacked partial trace, one stacked partial-transpose spectrum for the
+    The grid is ``tau_k = k * tau_max / (steps - 1)``.  Each excitation block
+    the preparation populates is diagonalized once; the grid is then
+    evaluated in chunks of ``_CHUNK_SAMPLES`` samples, each chunk costing one
+    stacked phase rotation, one stacked partial trace over the five photon
+    levels n-2..n+2, one stacked partial-transpose spectrum for the
     negativity and one classification pass that reuses that negativity.  At
     ``tau = 0`` the initial state is used bit-exactly.
 
     Raises:
         ValueError: if ``steps < 2`` or ``tau_max`` is not positive and finite.
-        TruncationLeak: if any sampled state populates the top two retained
-            Fock levels; the message names the first such ``tau`` of the grid.
+        NotNormalized: if a sampled state's squared norm is off by
+            ``linalg.NORMALIZATION_TOL`` or is not finite (a phase that
+            overflows makes it NaN).
     """
     if int(steps) != steps or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not (0.0 < tau_max < np.inf):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
     classifier_kwargs = classifier_kwargs or {}
-    psi0 = joint_state_from_atomic(_atomic_vector_of(initial), params)
-    system = linalg.eig_hermitian(full_hamiltonian(params))
-    coefficients = system.eigenvectors.conj().T @ psi0
+    atomic = _atomic_vector_of(initial)
+    blocks = _populated_blocks(params, atomic)
+    prepared = np.zeros((4, _LEVELS), dtype=np.complex128)
+    prepared[:, 2] = atomic
     taus = np.linspace(0.0, float(tau_max), int(steps))
     records = []
     for start in range(0, len(taus), _CHUNK_SAMPLES):
         chunk = taus[start : start + _CHUNK_SAMPLES]
-        phased = np.exp(-1j * system.eigenvalues * chunk[:, None]) * coefficients
-        # A stacked mat-vec rounds exactly like one ``V @ x`` per sample; a
-        # single ``phased @ V.T`` product does not.
-        psi = np.matmul(system.eigenvectors, phased[:, :, None])[:, :, 0]
-        psi[chunk == 0.0] = psi0
-        amplitudes = psi.reshape(len(chunk), 4, params.field_dim)
-        top = np.max(np.abs(amplitudes[:, :, -2:]), axis=(1, 2))
-        leaking = top >= TRUNCATION_TOL
-        if np.any(leaking):
-            first = int(np.argmax(leaking))
-            raise TruncationLeak(
-                f"amplitude {top[first]:.3e} on the top two Fock levels at "
-                f"tau={float(chunk[first])!r}; raise fock_cutoff"
-            )
+        amplitudes = np.zeros((len(chunk), 4, _LEVELS), dtype=np.complex128)
+        for system, coefficients, atoms, levels in blocks:
+            # An overflowing tau * eigenvalue makes the phase NaN, which the
+            # norm check of the partial trace reports as one error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                phased = np.exp(-1j * system.eigenvalues * chunk[:, None]) * coefficients
+            amplitudes[:, atoms, levels] = (system.eigenvectors @ phased[:, :, None])[:, :, 0]
+        amplitudes[chunk == 0.0] = prepared
         rho = linalg._partial_trace_stack(amplitudes)
         degree, _ = entanglement._negativity_stack(rho)
         labels, _, _ = entanglement._classify_stack(rho, degree, **classifier_kwargs)

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small Hermitian problems.
 
-Everything in this module operates on matrices of dimension at most
-``MAX_DIM`` (4x4 for the two-atom reduced state, up to 64x64 for the
-truncated atoms-plus-field space).  All functions are pure and
-deterministic: identical inputs produce identical outputs.
+The production path only ever decomposes matrices of dimension at most 4
+(an excitation block or a two-atom reduced state).  ``MAX_DIM`` bounds the
+input of the eigensolver entry points; it admits the full-space oracle's
+truncated atoms-plus-field matrices up to 64x64.  All functions are pure
+and deterministic: identical inputs produce identical outputs.
 
 The work is done by private stack kernels (``_eigh_stack``,
 ``_partial_trace_stack``, ``_partial_transpose``) that take a leading batch
@@ -21,7 +22,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NotHermitian, NotNormalized
 
-#: Largest matrix dimension accepted by the eigensolver entry points.
+#: Largest matrix dimension accepted by the eigensolver entry points; it
+#: guards the input size of the full-space oracle.
 MAX_DIM = 64
 
 #: Tolerance on ``max|m - m^dagger|`` below which a matrix counts as Hermitian.
@@ -43,6 +45,18 @@ class HermitianEigensystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def unitary(self, t: float) -> np.ndarray:
+        """``exp(-i * m * t)`` of the decomposed matrix ``m``.
+
+        At ``t == 0`` the exact identity matrix is returned, so downstream
+        consumers see bit-exact initial conditions.
+        """
+        if t == 0.0:
+            return np.eye(len(self.eigenvalues), dtype=np.complex128)
+        phases = np.exp(-1j * self.eigenvalues * t)
+        v = self.eigenvectors
+        return (v * phases) @ v.conj().T
 
 
 def _validate_square(m: np.ndarray) -> np.ndarray:
@@ -119,10 +133,7 @@ def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:
     m = _validate_square(m)
     if t == 0.0:
         return np.eye(m.shape[0], dtype=np.complex128)
-    system = eig_hermitian(m)
-    phases = np.exp(-1j * system.eigenvalues * t)
-    v = system.eigenvectors
-    return (v * phases) @ v.conj().T
+    return eig_hermitian(m).unitary(t)
 
 
 def _partial_trace_stack(amplitudes: np.ndarray) -> np.ndarray:

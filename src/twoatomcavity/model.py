@@ -10,11 +10,13 @@ ascending photon number.  Joint states are stored atomic-index major, i.e.
 flat index ``j * (fock_cutoff + 1) + m`` for atomic index ``j`` and photon
 number ``m``.
 
-Starting from |ee, n>, the excitation-conserving interaction only reaches the
-four joint states |ee, n>, |eg, n+1>, |ge, n+1>, |gg, n+2>.  On that invariant
-subspace the Hamiltonian is a real symmetric 4x4 matrix whose nonzero
-structure is captured by the couplings ``gamma = sqrt(n+1)`` (first emission)
-and ``beta = sqrt(n+2)`` (second emission).
+The interaction conserves the excitation number, so the joint space splits
+into blocks of at most four states.  Starting from |ee, n>, the dynamics only
+reaches |ee, n>, |eg, n+1>, |ge, n+1>, |gg, n+2>.  On that invariant subspace
+the Hamiltonian is a real symmetric 4x4 matrix whose nonzero structure is
+captured by the couplings ``gamma = sqrt(n+1)`` (first emission) and
+``beta = sqrt(n+2)`` (second emission); :func:`excitation_block` builds it
+for any block.
 """
 from __future__ import annotations
 
@@ -50,7 +52,8 @@ class SystemParams:
         coupling: atom-field coupling; fixed to 1 by the time scaling
             ``tau = coupling * t`` and kept only to make the scaling explicit.
         fock_cutoff: highest photon number retained in the truncated field
-            space; defaults to ``n_photon + 6``.
+            space of the full-space oracle; defaults to ``n_photon + 6``.
+            The production path does not truncate and ignores it.
     """
 
     delta: float
@@ -226,18 +229,25 @@ def spectral_quantities(params: SystemParams) -> SpectralQuantities:
     )
 
 
-def subspace_hamiltonian(params: SystemParams) -> np.ndarray:
-    """Interaction-picture Hamiltonian on the invariant subspace.
+#: Photon number of each atomic basis state (|ee>, |eg>, |ge>, |gg>) above the
+#: lowest photon number of its excitation block.
+BLOCK_PHOTON_OFFSETS = (0, 1, 1, 2)
 
-    Basis order (|ee,n>, |eg,n+1>, |ge,n+1>, |gg,n+2>), units of the
-    coupling.  The detuning splits symmetrically as ``diag(+delta, 0, 0,
-    -delta)``; the off-diagonals are the emission couplings ``gamma`` and
-    ``beta``.
+
+def excitation_block(delta: float, lowest_photon: int) -> tuple[np.ndarray, list[int]]:
+    """Hamiltonian of one excitation block and the atomic indices it keeps.
+
+    The block with ``lowest_photon = m`` spans (|ee,m>, |eg,m+1>, |ge,m+1>,
+    |gg,m+2>), all with ``m + 2`` excitations, in units of the coupling.  The
+    detuning splits symmetrically as ``diag(+delta, 0, 0, -delta)``; the
+    off-diagonals are the emission couplings ``gamma = sqrt(m+1)`` and
+    ``beta = sqrt(m+2)``.  States with a negative photon number do not exist
+    and are dropped: for ``m = -1`` the block is 3x3 and for ``m = -2`` it is
+    the single state |gg,0>.
     """
-    gamma = np.sqrt(params.n_photon + 1.0)
-    beta = np.sqrt(params.n_photon + 2.0)
-    delta = params.delta
-    return np.array(
+    gamma = np.sqrt(max(lowest_photon + 1.0, 0.0))
+    beta = np.sqrt(max(lowest_photon + 2.0, 0.0))
+    hamiltonian = np.array(
         [
             [delta, gamma, gamma, 0.0],
             [gamma, 0.0, 0.0, beta],
@@ -246,6 +256,17 @@ def subspace_hamiltonian(params: SystemParams) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
+    kept = [j for j, offset in enumerate(BLOCK_PHOTON_OFFSETS) if lowest_photon + offset >= 0]
+    return hamiltonian[np.ix_(kept, kept)], kept
+
+
+def subspace_hamiltonian(params: SystemParams) -> np.ndarray:
+    """Interaction-picture Hamiltonian on the invariant subspace of |ee, n>.
+
+    Basis order (|ee,n>, |eg,n+1>, |ge,n+1>, |gg,n+2>): the excitation block
+    of :func:`excitation_block` with ``lowest_photon = n_photon``.
+    """
+    return excitation_block(params.delta, params.n_photon)[0]
 
 
 def full_hamiltonian(params: SystemParams) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from . import linalg
 from .errors import NotNormalized, TruncationLeak
 from .model import (
+    SpectralQuantities,
     SystemParams,
     full_hamiltonian,
     spectral_quantities,
@@ -90,9 +91,16 @@ def propagate_closed_form(
     """
     if mode not in CLOSED_FORM_MODES:
         raise ValueError(f"unknown closed-form mode {mode!r}; choose from {CLOSED_FORM_MODES}")
-    sq = spectral_quantities(params)
+    u = _closed_form_matrix(spectral_quantities(params), float(params.delta), tau, mode)
+    return SubspacePropagator(u=u, tau=float(tau), method="closed_form")
+
+
+def _closed_form_matrix(
+    sq: SpectralQuantities, delta: float, tau: float, mode: str
+) -> np.ndarray:
+    """The analytic element formulas at ``tau`` from precomputed roots and weights."""
     mu, alpha = sq.mu, sq.alpha
-    gamma, beta, delta = sq.gamma, sq.beta, float(params.delta)
+    gamma, beta = sq.gamma, sq.beta
     signs = np.array([1.0, -1.0, 1.0])
     weights = signs * alpha
     phases = np.exp(-1j * mu * tau)
@@ -122,7 +130,7 @@ def propagate_closed_form(
         )
     u24 = -beta * np.sum(weights * phases * (delta - mu))
     u44 = -np.sum(weights * phases * (2.0 * gamma**2 + mu * (delta - mu)))
-    u = np.array(
+    return np.array(
         [
             [u11, u12, u12, u14],
             [u12, u22, u23, u24],
@@ -131,7 +139,6 @@ def propagate_closed_form(
         ],
         dtype=np.complex128,
     )
-    return SubspacePropagator(u=u, tau=float(tau), method="closed_form")
 
 
 def propagate_full(params: SystemParams, tau: float, initial: np.ndarray) -> np.ndarray:
@@ -309,12 +316,15 @@ def audit_closed_form(
     for mode in modes:
         if mode not in CLOSED_FORM_MODES:
             raise ValueError(f"unknown closed-form mode {mode!r}")
+    # The roots, weights and subspace eigensystem do not depend on tau.
+    sq = spectral_quantities(params)
+    system = linalg.eig_hermitian(subspace_hamiltonian(params))
     deviations = {mode: np.zeros((4, 4)) for mode in modes}
     zero_snapshots: dict[str, np.ndarray] = {}
     for tau in tau_values:
-        reference = propagate_spectral(params, tau).u
+        reference = system.unitary(tau)
         for mode in modes:
-            closed = propagate_closed_form(params, tau, mode=mode).u
+            closed = _closed_form_matrix(sq, float(params.delta), tau, mode)
             delta_elements = np.abs(closed - reference)
             delta_elements[~np.isfinite(delta_elements)] = np.inf
             deviations[mode] = np.maximum(deviations[mode], delta_elements)

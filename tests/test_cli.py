@@ -72,9 +72,8 @@ class TestArgumentHandling:
             ["--delta", "nan"],
             ["--tau-max", "inf"],
             ["--initial", "custom", "--amplitudes", "1,0,nan,1"],
-            ["--fock-cutoff", "2"],
-            ["--sweep", "n_photon:0:9:3", "--fock-cutoff", "12"],
             ["--sweep", "delta:nan:1:3"],
+            ["--sweep", "n_photon:0:1:5"],
         ],
         ids=" ".join,
     )
@@ -85,9 +84,43 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_oversized_system_exits_1(self, capsys):
-        assert run_cli(["--n-photon", "20"]) == 1
-        assert "maximum" in capsys.readouterr().err
+    def test_large_photon_number_exits_0(self, tmp_path):
+        # Each excitation block is evolved exactly: no photon-number limit.
+        out = tmp_path / "series.csv"
+        assert run_cli(["--n-photon", "20", "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1002
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--steps", "2", "--tau-max", "1e12"],
+            ["--sweep", "delta:0.1:1.0:6", "--initial", "eg", "--n-photon", "2",
+             "--tau-max", "1e6"],
+        ],
+        ids=" ".join,
+    )
+    def test_long_windows_exit_0(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_million_photons_keep_the_invariants(self, tmp_path):
+        # Swapping the atoms swaps p_eg and p_ge and leaves the rest alone.
+        rows = []
+        for amplitudes in ("0.6,0.8,0.8j,0.6", "0.8j,0.6,0.6,0.8"):
+            out = tmp_path / "series.csv"
+            argv = ["--n-photon", "1000000", "--initial", "custom", "--amplitudes", amplitudes,
+                    "--delta", "0.3", "--steps", "101", "--output", str(out)]
+            assert run_cli(argv) == 0
+            rows.append(
+                np.array([line.split(",")[:6] for line in out.read_text().splitlines()[1:]],
+                         dtype=float)
+            )
+        first, swapped = rows
+        for table in rows:
+            assert np.max(np.abs(table[:, 1:5].sum(axis=1) - 1.0)) < 1e-10
+            assert np.all((table[:, 5] >= 0.0) & (table[:, 5] <= 1.0))
+        assert np.max(np.abs(first - swapped[:, [0, 1, 3, 2, 4, 5]])) < 1e-9
 
 
 class TestSeriesMode:
@@ -248,8 +281,10 @@ class TestSweepMode:
     def test_sweep_rejects_negative_photon_values(self):
         assert run_cli(["--sweep", "n_photon:-2:1:4", "--steps", "11"]) == 1
 
-    def test_sweep_rejects_oversized_photon_values(self):
-        assert run_cli(["--sweep", "n_photon:0:20:2", "--steps", "11"]) == 1
+    def test_sweep_accepts_large_photon_values(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["--sweep", "n_photon:0:20:2", "--steps", "11", "--output", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "20"]
 
 
 class TestAuditMode:
