@@ -18,6 +18,7 @@ import cmath
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,7 +226,7 @@ def _parse_sweep(value: object) -> SweepSpec:
         raise ConfigError(f"sweep count must be >= 2, got {spec.count}")
     if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
         raise ConfigError(f"sweep start and stop must be finite, got {value!r}")
-    _sweep_values(spec)
+    _sweep_values(spec)  # rejects negative or repeated photon numbers
     return spec
 
 
@@ -396,7 +397,7 @@ def _sweep_values(spec: SweepSpec) -> list[float] | list[int]:
         values = [int(round(value)) for value in grid]
         if any(value < 0 for value in values):
             raise ConfigError("n_photon sweep values must be >= 0")
-        repeated = sorted({value for value in values if values.count(value) > 1})
+        repeated = sorted(value for value, times in Counter(values).items() if times > 1)
         if repeated:
             raise ConfigError(
                 f"n_photon sweep rounds {spec.count} points onto repeated values {repeated}; "

@@ -73,8 +73,9 @@ def evolve_reduced(
     """Reduced two-atom density matrix at scaled time ``tau``.
 
     Evolves the joint state in the truncated full space, then traces out the
-    field: the independent oracle for :func:`time_series`.  ``initial`` is a product-state description or a length-4 atomic
-    vector (basis |ee>, |eg>, |ge>, |gg>) tensored with ``|n_photon>``.
+    field: the independent oracle for :func:`time_series`.  ``initial`` is a
+    product-state description or a length-4 atomic vector (basis |ee>, |eg>,
+    |ge>, |gg>) tensored with ``|n_photon>``.
     """
     psi0 = joint_state_from_atomic(_atomic_vector_of(initial), params)
     evolved = propagate_full(params, tau, psi0)
