@@ -12,7 +12,9 @@ routes is meaningful:
 - the closed-form partial-transpose spectrum of a Werner state;
 - the three-rung symmetric excitation ladder with a closed-form X-state
   negativity (vs. the truncated full space and a 4x4 partial-transpose
-  spectrum).
+  spectrum);
+- record-loop negativity statistics, one Python loop over sampled records
+  (vs. the package's array statistics, which must match them bit for bit).
 
 Nothing here imports the package under test.
 """
@@ -303,3 +305,38 @@ def exact_excited_pair_series(
         spectrum = (p_eg, p_ge, (p_ee + p_gg) / 2 + radius, (p_ee + p_gg) / 2 - radius)
         rows.append((tau, p_ee, p_eg, p_ge, p_gg, ctx.fsum(abs(x) for x in spectrum) - 1))
     return rows
+
+
+def record_first_negativity_zero(records, threshold: float) -> float | None:
+    """First downward crossing of ``threshold``, interpolated, by a record loop.
+
+    ``records`` are objects with ``tau`` and ``negativity`` attributes.  A
+    crossing is a sample above ``threshold`` followed by one at or below it.
+    """
+    for before, after in zip(records, records[1:]):
+        gap_before = before.negativity - threshold
+        gap_after = after.negativity - threshold
+        if gap_before > 0.0 >= gap_after:
+            fraction = gap_before / (gap_before - gap_after)
+            return before.tau + (after.tau - before.tau) * fraction
+    return None
+
+
+def record_negativity_zero_count(records, threshold: float) -> int:
+    """Number of downward crossings of ``threshold``, by a record loop."""
+    count = 0
+    for before, after in zip(records, records[1:]):
+        if before.negativity - threshold > 0.0 >= after.negativity - threshold:
+            count += 1
+    return count
+
+
+def record_average_negativity(records) -> float:
+    """Trapezoid time average of the negativity, summed sample by sample."""
+    if len(records) < 2:
+        raise ValueError("need at least two records to average")
+    values = [record.negativity for record in records]
+    dt = records[1].tau - records[0].tau
+    integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
+    window = records[-1].tau - records[0].tau
+    return integral / window

@@ -5,12 +5,18 @@ the file it writes followed by what it prints to stdout. The table pins the
 CSV bytes across refactors of the sample pipeline: the 13 presets, entangled
 and custom preparations at several (delta, n_photon) points, and step counts
 on both sides of the time-series chunk boundary (2, 127, 128, 129 and 1001),
-plus one delta and one photon-number sweep. It also pins the JSON report and
-the text table of six closed-form audits.
+plus sweeps: delta sweeps of the eg, ee, gg and singlet preparations (the
+singlet never crosses zero), eg sweeps at 2, 3, 129 and 1001 steps (crossings
+on both sides of the chunk boundary), a long-window eg sweep and two
+photon-number sweeps. It also pins the JSON report and the text table of six
+closed-form audits.
 
 Regenerate the table (only when an output change is intended) with::
 
     PYTHONPATH=src python tests/test_series_digests.py
+
+The regenerator prints each key that is new, changed or removed, so that a
+regeneration shows which recorded digests moved.
 """
 from __future__ import annotations
 
@@ -39,6 +45,8 @@ AUDIT_DELTAS = ("0", "0.37", "1")
 
 AUDIT_PHOTONS = ("0", "9")
 
+SWEEP_STEPS = ("2", "3", "129", "1001")
+
 
 def _cases() -> list[tuple[str, ...]]:
     cases = [("--preset", name) for name in sorted(cli.PRESETS)]
@@ -52,9 +60,18 @@ def _cases() -> list[tuple[str, ...]]:
                     + ("--delta", delta, "--n-photon", n_photon,
                        "--tau-max", tau_max, "--steps", steps)
                 )
+    for steps in SWEEP_STEPS:
+        cases.append(
+            ("--sweep", "delta:0:1:5", "--initial", "eg", "--n-photon", "2", "--steps", steps)
+        )
+    for initial in ("ee", "gg", "singlet"):
+        cases.append(
+            ("--sweep", "delta:0:1:5", "--initial", initial, "--n-photon", "1", "--steps", "501")
+        )
     cases.append(
-        ("--sweep", "delta:0:1:5", "--initial", "eg", "--n-photon", "2", "--steps", "129")
+        ("--sweep", "delta:0.1:1.0:6", "--initial", "eg", "--n-photon", "2", "--tau-max", "1e6")
     )
+    cases.append(("--sweep", "n_photon:0:9:10", "--initial", "gg"))
     cases.append(
         ("--sweep", "n_photon:0:9:10", "--initial", "custom", "--amplitudes",
          CUSTOM_AMPLITUDES[0], "--delta", "0.4", "--steps", "201")
@@ -88,7 +105,15 @@ def test_artifact_matches_recorded_digest(argv, tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
         digests = {" ".join(argv): _digest(argv, Path(scratch)) for argv in CASES}
+    for status, keys in (
+        ("new", sorted(set(digests) - set(old))),
+        ("changed", sorted(k for k in digests if k in old and digests[k] != old[k])),
+        ("removed", sorted(set(old) - set(digests))),
+    ):
+        for key in keys:
+            print(f"{status}: {key}", file=sys.stderr)
     TABLE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {TABLE}", file=sys.stderr)
