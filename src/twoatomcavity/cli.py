@@ -25,11 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    average_negativity,
-    first_negativity_zero,
-    negativity_zero_count,
-    time_series,
+    SeriesColumns,
+    _average_negativity,
+    _first_negativity_zero,
+    _negativity_zero_count,
+    series_columns,
 )
+from .entanglement import CLASS_LABELS
 from .errors import NotNormalized, TwoAtomCavityError
 from .model import (
     ATOMIC_STATE_NAMES,
@@ -368,25 +370,26 @@ def _format_float(value: float) -> str:
     return FLOAT_FORMAT.format(value)
 
 
+#: One series row: six floats as ``FLOAT_FORMAT`` writes them, then the label.
+_SERIES_ROW_FORMAT = ",".join(["%.11e"] * 6 + ["%s"])
+
+
+def _format_series_rows(columns: SeriesColumns) -> list[str]:
+    """CSV rows of a classified series, each field as :func:`_format_float` writes it."""
+    table = np.column_stack((columns.tau, columns.populations, columns.negativity))
+    # abs(-0.0) is below the tolerance too, so a negative zero prints as 0.
+    table = np.where(np.abs(table) < FORMAT_SNAP_TOL, 0.0, table)
+    return [
+        _SERIES_ROW_FORMAT % (*values, CLASS_LABELS[label])
+        for values, label in zip(table.tolist(), columns.labels.tolist())
+    ]
+
+
 def run_series(config: RunConfig) -> int:
     """Write a CSV time series of populations, negativity, and class labels."""
     params = _system_params(config)
-    records = time_series(params, _initial_for(config), config.tau_max, config.steps)
-    lines = [SERIES_HEADER]
-    for record in records:
-        lines.append(
-            ",".join(
-                [
-                    _format_float(record.tau),
-                    _format_float(record.p_ee),
-                    _format_float(record.p_eg),
-                    _format_float(record.p_ge),
-                    _format_float(record.p_gg),
-                    _format_float(record.negativity),
-                    record.class_label,
-                ]
-            )
-        )
+    columns = series_columns(params, _initial_for(config), config.tau_max, config.steps)
+    lines = [SERIES_HEADER, *_format_series_rows(columns)]
     Path(config.output_path).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -416,6 +419,9 @@ def run_sweep(config: RunConfig) -> int:
     zero threshold in the window": either the negativity never rises above
     the threshold (the pair is never entangled), or it rises above it and is
     still above it at the window end.
+
+    Each point computes only the time and negativity columns of its series
+    (no class labels, no records) and takes the statistics of those arrays.
     """
     spec = config.sweep
     assert spec is not None  # guaranteed by resolve_config
@@ -427,13 +433,13 @@ def run_sweep(config: RunConfig) -> int:
             params = _system_params(config, delta=float(value))
         else:
             params = _system_params(config, n_photon=int(value))
-        records = time_series(params, initial, config.tau_max, config.steps)
-        first_zero = first_negativity_zero(records)
+        columns = series_columns(params, initial, config.tau_max, config.steps, labels=False)
+        first_zero = _first_negativity_zero(columns.tau, columns.negativity)
         row = [
             str(int(value)) if spec.param == "n_photon" else _format_float(float(value)),
-            _format_float(average_negativity(records)),
+            _format_float(_average_negativity(columns.tau, columns.negativity)),
             _format_float(-1.0 if first_zero is None else first_zero),
-            str(negativity_zero_count(records)),
+            str(_negativity_zero_count(columns.negativity)),
         ]
         rows.append(",".join(row))
     Path(config.output_path).write_text("\n".join(rows) + "\n")

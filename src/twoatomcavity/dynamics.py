@@ -4,17 +4,23 @@ The interaction conserves the excitation number, so a preparation
 ``|atoms> ⊗ |n>`` evolves inside at most three excitation blocks of at most
 four states each (Tavis & Cummings 1968): |ee, n> lies in the block whose
 lowest photon number is n, |eg, n> and |ge, n> in the block of n - 1, and
-|gg, n> in the block of n - 2.  :func:`time_series` diagonalizes each block
-on its own, places the amplitudes on the photon levels n-2..n+2 and walks
-its time grid in chunks of ``_CHUNK_SAMPLES`` samples, which bounds the
-memory of the stacked arrays; no Fock space is truncated.
-:func:`evolve_reduced` evolves the truncated full space instead and is kept
-as an independent oracle.
+|gg, n> in the block of n - 2.  :func:`series_columns` diagonalizes each
+block on its own, places the amplitudes on the photon levels n-2..n+2 and
+walks its time grid in chunks of ``_CHUNK_SAMPLES`` samples, which bounds the
+memory of the stacked arrays; no Fock space is truncated.  It returns the
+samples as columns (time, populations, negativity and, unless told not to
+classify, class labels), into which it writes each chunk.
+:func:`time_series` is a record view of those columns.  The negativity
+statistics (:func:`first_negativity_zero`, :func:`negativity_zero_count`,
+:func:`average_negativity`) take records; each delegates to an array
+implementation over the ``tau`` and ``negativity`` columns, which sweeps
+call directly.  :func:`evolve_reduced` evolves the truncated full space
+instead and is kept as an independent oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +40,7 @@ POPULATION_CLAMP = 1e-12
 #: Negativity at or below this threshold counts as zero for event detection.
 NEGATIVITY_ZERO_THRESHOLD = 1e-6
 
-#: Grid samples evaluated together by :func:`time_series`.
+#: Grid samples evaluated together by :func:`series_columns`.
 _CHUNK_SAMPLES = 128
 
 
@@ -124,13 +130,28 @@ def _populated_blocks(params: SystemParams, atomic: np.ndarray) -> list[tuple]:
     return blocks
 
 
-def time_series(
+class SeriesColumns(NamedTuple):
+    """A sampled series as columns: one row per grid point.
+
+    ``labels`` holds indices into ``entanglement.CLASS_LABELS``, or is
+    ``None`` when the series was computed without classification.
+    """
+
+    tau: np.ndarray  # (T,)
+    populations: np.ndarray  # (T, 4): p_ee, p_eg, p_ge, p_gg
+    negativity: np.ndarray  # (T,)
+    labels: np.ndarray | None  # (T,)
+
+
+def series_columns(
     params: SystemParams,
     initial: TwoAtomAmplitudes | np.ndarray,
     tau_max: float,
     steps: int,
+    *,
+    labels: bool = True,
     classifier_kwargs: dict | None = None,
-) -> list[TimeSeriesRecord]:
+) -> SeriesColumns:
     """Sample the reduced dynamics on a uniform grid over ``[0, tau_max]``.
 
     The grid is ``tau_k = k * tau_max / (steps - 1)``.  Each excitation block
@@ -138,8 +159,9 @@ def time_series(
     evaluated in chunks of ``_CHUNK_SAMPLES`` samples, each chunk costing one
     stacked phase rotation, one stacked partial trace over the five photon
     levels n-2..n+2, one stacked partial-transpose spectrum for the
-    negativity and one classification pass that reuses that negativity.  At
-    ``tau = 0`` the initial state is used bit-exactly.
+    negativity and, when ``labels`` is true, one classification pass that
+    reuses that negativity.  At ``tau = 0`` the initial state is used
+    bit-exactly.
 
     Raises:
         ValueError: if ``steps < 2`` or ``tau_max`` is not positive and finite.
@@ -157,9 +179,12 @@ def time_series(
     prepared = np.zeros((4, _LEVELS), dtype=np.complex128)
     prepared[:, 2] = atomic
     taus = np.linspace(0.0, float(tau_max), int(steps))
-    records = []
+    populations_column = np.empty((len(taus), 4))
+    negativity_column = np.empty(len(taus))
+    label_column = np.empty(len(taus), dtype=np.intp) if labels else None
     for start in range(0, len(taus), _CHUNK_SAMPLES):
         chunk = taus[start : start + _CHUNK_SAMPLES]
+        rows = slice(start, start + len(chunk))
         amplitudes = np.zeros((len(chunk), 4, _LEVELS), dtype=np.complex128)
         for system, coefficients, atoms, levels in blocks:
             # An overflowing tau * eigenvalue makes the phase NaN, which the
@@ -170,14 +195,85 @@ def time_series(
         amplitudes[chunk == 0.0] = prepared
         rho = linalg._partial_trace_stack(amplitudes)
         degree, _ = entanglement._negativity_stack(rho)
-        labels, _, _ = entanglement._classify_stack(rho, degree, **classifier_kwargs)
-        records.extend(
-            TimeSeriesRecord(tau, p_ee, p_eg, p_ge, p_gg, value, entanglement.CLASS_LABELS[label])
-            for tau, (p_ee, p_eg, p_ge, p_gg), value, label in zip(
-                chunk.tolist(), _populations_stack(rho).tolist(), degree.tolist(), labels.tolist()
+        populations_column[rows] = _populations_stack(rho)
+        negativity_column[rows] = degree
+        if label_column is not None:
+            label_column[rows], _, _ = entanglement._classify_stack(
+                rho, degree, **classifier_kwargs
             )
+    return SeriesColumns(taus, populations_column, negativity_column, label_column)
+
+
+def time_series(
+    params: SystemParams,
+    initial: TwoAtomAmplitudes | np.ndarray,
+    tau_max: float,
+    steps: int,
+    classifier_kwargs: dict | None = None,
+) -> list[TimeSeriesRecord]:
+    """One :class:`TimeSeriesRecord` per sample of :func:`series_columns`.
+
+    Takes the same arguments, classifies every sample, and raises the same
+    errors.
+    """
+    columns = series_columns(
+        params, initial, tau_max, steps, classifier_kwargs=classifier_kwargs
+    )
+    names = entanglement.CLASS_LABELS
+    return [
+        TimeSeriesRecord(tau, p_ee, p_eg, p_ge, p_gg, value, names[label])
+        for tau, (p_ee, p_eg, p_ge, p_gg), value, label in zip(
+            columns.tau.tolist(),
+            columns.populations.tolist(),
+            columns.negativity.tolist(),
+            columns.labels.tolist(),
         )
-    return records
+    ]
+
+
+def _first_negativity_zero(
+    tau: np.ndarray, negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
+) -> float | None:
+    """:func:`first_negativity_zero` of the columns ``tau`` and ``negativity``."""
+    gaps = negativity - threshold
+    drops = np.flatnonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0))
+    if drops.size == 0:
+        return None
+    k = int(drops[0])
+    gap_before, gap_after = gaps[k].item(), gaps[k + 1].item()
+    tau_before, tau_after = tau[k].item(), tau[k + 1].item()
+    fraction = gap_before / (gap_before - gap_after)
+    return tau_before + (tau_after - tau_before) * fraction
+
+
+def _negativity_zero_count(
+    negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
+) -> int:
+    """:func:`negativity_zero_count` of the column ``negativity``."""
+    gaps = negativity - threshold
+    return int(np.count_nonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0)))
+
+
+def _average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
+    """:func:`average_negativity` of the columns ``tau`` and ``negativity``.
+
+    The interior samples are summed one by one in Python, not by
+    ``np.sum``, whose pairwise summation rounds differently.
+    """
+    if len(tau) < 2:
+        raise ValueError("need at least two records to average")
+    values = negativity.tolist()
+    dt = tau[1].item() - tau[0].item()
+    integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
+    window = tau[-1].item() - tau[0].item()
+    return integral / window
+
+
+def _record_columns(records: Sequence[TimeSeriesRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``tau`` and ``negativity`` columns of a record sequence."""
+    tau = np.array([record.tau for record in records], dtype=float)
+    negativity = np.array([record.negativity for record in records], dtype=float)
+    return tau, negativity
 
 
 def first_negativity_zero(
@@ -190,13 +286,7 @@ def first_negativity_zero(
     sits above it at one grid point and at or below it at the next.  The
     crossing time is linearly interpolated between the two grid points.
     """
-    for before, after in zip(records, records[1:]):
-        gap_before = before.negativity - threshold
-        gap_after = after.negativity - threshold
-        if gap_before > 0.0 >= gap_after:
-            fraction = gap_before / (gap_before - gap_after)
-            return before.tau + (after.tau - before.tau) * fraction
-    return None
+    return _first_negativity_zero(*_record_columns(records), threshold)
 
 
 def negativity_zero_count(
@@ -204,11 +294,7 @@ def negativity_zero_count(
     threshold: float = NEGATIVITY_ZERO_THRESHOLD,
 ) -> int:
     """Number of downward threshold crossings of the negativity."""
-    count = 0
-    for before, after in zip(records, records[1:]):
-        if before.negativity - threshold > 0.0 >= after.negativity - threshold:
-            count += 1
-    return count
+    return _negativity_zero_count(_record_columns(records)[1], threshold)
 
 
 def average_negativity(records: Sequence[TimeSeriesRecord]) -> float:
@@ -217,13 +303,7 @@ def average_negativity(records: Sequence[TimeSeriesRecord]) -> float:
     Computed as the trapezoid integral of the linear interpolant divided by
     the window length.
     """
-    if len(records) < 2:
-        raise ValueError("need at least two records to average")
-    values = [record.negativity for record in records]
-    dt = records[1].tau - records[0].tau
-    integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
-    window = records[-1].tau - records[0].tau
-    return integral / window
+    return _average_negativity(*_record_columns(records))
 
 
 def midline_crossing_count(values: Iterable[float], midline: float = 0.5) -> int:
