@@ -195,6 +195,28 @@ def _parse_amplitudes(value: object) -> tuple[complex, complex, complex, complex
     return amplitudes  # type: ignore[return-value]
 
 
+def _real(name: str, value: object) -> float:
+    """A configuration number as a float; booleans are not numbers here."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _integer(name: str, value: object) -> int:
+    """A configuration integer; an integral float such as 3.0 is accepted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (bool, float)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
 def _parse_sweep(value: object) -> SweepSpec:
     if isinstance(value, SweepSpec):
         return value
@@ -202,11 +224,11 @@ def _parse_sweep(value: object) -> SweepSpec:
         try:
             spec = SweepSpec(
                 param=str(value["param"]),
-                start=float(value["start"]),
-                stop=float(value["stop"]),
-                count=int(value["count"]),
+                start=_real("sweep start", value["start"]),
+                stop=_real("sweep stop", value["stop"]),
+                count=_integer("sweep count", value["count"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise ConfigError(f"bad sweep specification {value!r}") from exc
     elif isinstance(value, str):
         parts = value.split(":")
@@ -303,13 +325,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("initial=custom needs --amplitudes a1,b1,a2,b2")
         amplitudes = _normalized_custom_amplitudes(_parse_amplitudes(merged["amplitudes"]))
 
-    try:
-        delta = float(merged["delta"])
-        n_photon = int(merged["n_photon"])
-        tau_max = float(merged["tau_max"])
-        steps = int(merged["steps"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numeric configuration value: {exc}") from exc
+    delta = _real("delta", merged["delta"])
+    n_photon = _integer("n_photon", merged["n_photon"])
+    tau_max = _real("tau_max", merged["tau_max"])
+    steps = _integer("steps", merged["steps"])
     if not math.isfinite(delta):
         raise ConfigError(f"delta must be finite, got {delta}")
     if n_photon < 0:
