@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoatomcavity import cli
+from twoatomcavity import cli, entanglement
+from twoatomcavity.dynamics import SeriesColumns
+from twoatomcavity.entanglement import CLASS_LABELS
 from twoatomcavity.errors import DegenerateRoots
 
 from oracles import exact_excited_pair_series
@@ -74,15 +76,35 @@ class TestArgumentHandling:
             ["--initial", "custom", "--amplitudes", "1,0,nan,1"],
             ["--sweep", "delta:nan:1:3"],
             ["--sweep", "n_photon:0:1:5"],
+            ["--config", '{"n_photon": 2.7}'],
+            ["--config", '{"steps": 10.5}'],
+            ["--config", '{"delta": true}'],
+            ["--config", '{"sweep": {"param": "delta", "start": 0, "stop": 1, "count": 2.5}}'],
         ],
         ids=" ".join,
     )
     def test_non_finite_or_undersized_input_exits_1(self, argv, capsys, tmp_path):
+        if argv[0] == "--config":  # the second item is the file's JSON text
+            config = tmp_path / "config.json"
+            config.write_text(argv[1])
+            argv = ["--config", str(config)]
         out = tmp_path / "out.csv"
         assert run_cli(argv + ["--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_integral_floats_in_config_are_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_photon": 3.0, "steps": 11.0, "sweep": {
+            "param": "delta", "start": 0, "stop": 1, "count": 3.0}}))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["--config", str(config), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+        args = cli.build_parser().parse_args(["--config", str(config)])
+        resolved = cli.resolve_config(args)
+        assert (resolved.n_photon, resolved.steps, resolved.sweep.count) == (3, 11, 3)
+        assert all(type(v) is int for v in (resolved.n_photon, resolved.steps, resolved.sweep.count))
 
     def test_large_photon_number_exits_0(self, tmp_path):
         # Each excitation block is evolved exactly: no photon-number limit.
@@ -278,6 +300,18 @@ class TestSweepMode:
         assert run_cli(["--sweep", "delta:0:1:2", "--steps", "11", "--output", str(out)]) == 0
         assert out.exists()
 
+    def test_sweep_does_not_classify(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classified a sample")
+
+        monkeypatch.setattr(entanglement, "_classify_stack", refuse)
+        out = tmp_path / "sweep.csv"
+        argv = ["--sweep", "delta:0:1:5", "--initial", "eg", "--n-photon", "2", "--steps", "301"]
+        assert run_cli(argv + ["--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 6
+        with pytest.raises(AssertionError, match="classified a sample"):
+            run_cli(["--initial", "eg", "--steps", "301", "--output", str(out)])
+
     def test_sweep_rejects_negative_photon_values(self):
         assert run_cli(["--sweep", "n_photon:-2:1:4", "--steps", "11"]) == 1
 
@@ -446,6 +480,30 @@ class TestFloatFormatting:
     def test_small_but_genuine_values_survive(self):
         assert cli._format_float(1.99979167643e-08) == "1.99979167643e-08"
         assert cli._format_float(-1.0) == "-1.00000000000e+00"
+
+
+    @pytest.mark.parametrize("label", range(len(CLASS_LABELS)))
+    def test_series_rows_format_each_field_like_format_float(self, label):
+        tol = cli.FORMAT_SNAP_TOL
+        values = [-0.0, tol / 2, -tol / 2, tol, -tol, 1e-300, 0.9999999999995, 0.9999999999996,
+                  1e12, -1e12]
+        # Rotate the values through the six float columns of the rows.
+        table = np.array([np.roll(values, -row)[:6] for row in range(len(values))])
+        columns = SeriesColumns(
+            tau=table[:, 0], populations=table[:, 1:5], negativity=table[:, 5],
+            labels=np.full(len(values), label),
+        )
+        rows = cli._format_series_rows(columns)
+        assert len(rows) == len(values)
+        for row, fields in zip(table.tolist(), rows):
+            expected = [cli._format_float(value) for value in row] + [CLASS_LABELS[label]]
+            assert fields.split(",") == expected
+        assert rows[0].split(",")[:6] == ["0.00000000000e+00"] * 3 + [
+            "1.00000000000e-14", "-1.00000000000e-14", "0.00000000000e+00"]
+        # 0.9999999999995 is stored just below its decimal spelling, so only
+        # 0.9999999999996 rounds up at the 12th digit.
+        assert rows[6].split(",")[:4] == ["9.99999999999e-01", "1.00000000000e+00",
+                                          "1.00000000000e+12", "-1.00000000000e+12"]
 
 
 class TestDefaults:

@@ -9,21 +9,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twoatomcavity
+from twoatomcavity import entanglement
 from twoatomcavity.dynamics import (
+    NEGATIVITY_ZERO_THRESHOLD,
     TimeSeriesRecord,
+    _average_negativity,
+    _first_negativity_zero,
+    _negativity_zero_count,
     average_negativity,
     evolve_reduced,
     first_negativity_zero,
     midline_crossing_count,
     negativity_zero_count,
     populations,
+    series_columns,
     time_series,
 )
-from twoatomcavity.entanglement import SEPARABLE_THRESHOLD, classify, negativity
+from twoatomcavity.entanglement import CLASS_LABELS, SEPARABLE_THRESHOLD, classify, negativity
 from twoatomcavity.errors import NotNormalized
 from twoatomcavity.model import (
     SystemParams,
@@ -37,6 +43,9 @@ from oracles import (
     brute_negativity,
     brute_partial_trace_field,
     ladder_x_state,
+    record_average_negativity,
+    record_first_negativity_zero,
+    record_negativity_zero_count,
     rk4_evolve,
     symmetric_ladder_amplitudes,
     symmetric_ladder_negativities,
@@ -301,6 +310,82 @@ def test_batched_series_matches_scalar_route(delta, n_photon, atom1, atom2, tau_
         assert abs(record.negativity - degree) < 1e-10
         if abs(degree - SEPARABLE_THRESHOLD) > 1e-9:
             assert record.class_label == classify(rho).label, record
+
+
+class TestSeriesColumns:
+    @pytest.mark.parametrize("initial", ["ee", "eg", "singlet"])
+    def test_records_are_a_view_of_the_columns(self, initial):
+        params = SystemParams(delta=0.37, n_photon=3)
+        state = named_atomic_state(initial)
+        columns = series_columns(params, state, 3.7, 300)
+        records = time_series(params, state, 3.7, 300)
+        assert [r.tau for r in records] == columns.tau.tolist()
+        assert [list(r.populations) for r in records] == columns.populations.tolist()
+        assert [r.negativity for r in records] == columns.negativity.tolist()
+        assert [r.class_label for r in records] == [CLASS_LABELS[k] for k in columns.labels]
+
+    def test_unlabelled_columns_do_not_classify(self, monkeypatch):
+        params = SystemParams(delta=0.37, n_photon=3)
+        labelled = series_columns(params, named_atomic_state("eg"), 3.7, 300)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("classified a sample")
+
+        monkeypatch.setattr(entanglement, "_classify_stack", refuse)
+        unlabelled = series_columns(params, named_atomic_state("eg"), 3.7, 300, labels=False)
+        assert unlabelled.labels is None
+        for name in ("tau", "populations", "negativity"):
+            assert np.array_equal(getattr(unlabelled, name), getattr(labelled, name)), name
+        with pytest.raises(AssertionError, match="classified a sample"):
+            series_columns(params, named_atomic_state("eg"), 3.7, 300)
+
+
+_THRESHOLD = NEGATIVITY_ZERO_THRESHOLD
+
+#: Values at and next to the zero threshold, and the ends of [0, 1].
+_EDGE_VALUES = (
+    0.0, 1.0, _THRESHOLD, float(np.nextafter(_THRESHOLD, 0.0)),
+    float(np.nextafter(_THRESHOLD, 1.0)),
+)
+
+
+@st.composite
+def _negativity_series(draw) -> list[float]:
+    """Negativity samples: all zero, all one, random with edge values, or with a plateau."""
+    size = draw(st.one_of(st.just(2), st.integers(2, 300)))
+    kind = draw(st.sampled_from(("zeros", "ones", "mixed", "plateau")))
+    if kind == "zeros":
+        return [0.0] * size
+    if kind == "ones":
+        return [1.0] * size
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(0.0, 1.0))
+    values = draw(st.lists(value, min_size=size, max_size=size))
+    if kind == "plateau":
+        start = draw(st.integers(0, size - 1))
+        stop = draw(st.integers(start + 1, size))
+        values[start:stop] = [_THRESHOLD] * (stop - start)
+    return values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=_negativity_series(), tau_max=st.floats(1e-3, 1e6))
+@example(values=[0.0, 0.0], tau_max=10.0)
+@example(values=[1.0, 1.0], tau_max=10.0)
+@example(values=[0.3, _THRESHOLD], tau_max=10.0)
+@example(values=[0.3, _THRESHOLD, _THRESHOLD, 0.2, 0.0], tau_max=3.7)
+def test_array_statistics_equal_the_record_loops_bit_for_bit(values, tau_max):
+    tau = np.linspace(0.0, tau_max, len(values))
+    negativity = np.array(values)
+    records = make_records(tau.tolist(), values)
+    first_zero = record_first_negativity_zero(records, _THRESHOLD)
+    count = record_negativity_zero_count(records, _THRESHOLD)
+    average = record_average_negativity(records)
+    assert _first_negativity_zero(tau, negativity) == first_zero
+    assert first_negativity_zero(records) == first_zero
+    assert _negativity_zero_count(negativity) == count
+    assert negativity_zero_count(records) == count
+    assert _average_negativity(tau, negativity) == average
+    assert average_negativity(records) == average
 
 
 class TestSeriesStatistics:
