@@ -9,6 +9,7 @@ exact spectral one, together with an audit comparing the two element by
 element.
 """
 from .dynamics import (
+    SeriesColumns,
     TimeSeriesRecord,
     average_negativity,
     evolve_reduced,
@@ -16,6 +17,7 @@ from .dynamics import (
     midline_crossing_count,
     negativity_zero_count,
     populations,
+    series_columns,
     time_series,
 )
 from .entanglement import ClassMatch, NegativityResult, classify, negativity
@@ -73,6 +75,7 @@ __all__ = [
     "NegativityResult",
     "NotHermitian",
     "NotNormalized",
+    "SeriesColumns",
     "SpectralQuantities",
     "SubspacePropagator",
     "SystemParams",
@@ -101,6 +104,7 @@ __all__ = [
     "propagate_full",
     "propagate_full_restricted",
     "propagate_spectral",
+    "series_columns",
     "spectral_quantities",
     "subspace_hamiltonian",
     "subspace_joint_indices",

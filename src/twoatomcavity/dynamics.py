@@ -231,12 +231,17 @@ def time_series(
     ]
 
 
+def _downward_crossings(gaps: np.ndarray) -> np.ndarray:
+    """Mask ``(T - 1,)`` of the sample pairs whose gap drops from above 0 to at or below it."""
+    return (gaps[:-1] > 0.0) & (gaps[1:] <= 0.0)
+
+
 def _first_negativity_zero(
     tau: np.ndarray, negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
 ) -> float | None:
     """:func:`first_negativity_zero` of the columns ``tau`` and ``negativity``."""
     gaps = negativity - threshold
-    drops = np.flatnonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0))
+    drops = np.flatnonzero(_downward_crossings(gaps))
     if drops.size == 0:
         return None
     k = int(drops[0])
@@ -250,8 +255,7 @@ def _negativity_zero_count(
     negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
 ) -> int:
     """:func:`negativity_zero_count` of the column ``negativity``."""
-    gaps = negativity - threshold
-    return int(np.count_nonzero((gaps[:-1] > 0.0) & (gaps[1:] <= 0.0)))
+    return int(np.count_nonzero(_downward_crossings(negativity - threshold)))
 
 
 def _average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:

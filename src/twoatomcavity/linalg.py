@@ -8,7 +8,7 @@ and deterministic: identical inputs produce identical outputs.
 
 The work is done by private stack kernels (``_eigh_stack``,
 ``_partial_trace_stack``, ``_partial_transpose``) that take a leading batch
-axis, so :func:`twoatomcavity.dynamics.time_series` evaluates a whole chunk
+axis, so :func:`twoatomcavity.dynamics.series_columns` evaluates a whole chunk
 of its time grid in one call per kernel.  The public functions are
 stack-of-one wrappers over them: one matrix or state in, one result out.
 Stacking changes no bits: NumPy's ``eigh`` and ``matmul`` apply the same

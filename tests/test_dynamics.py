@@ -352,7 +352,7 @@ _EDGE_VALUES = (
 @st.composite
 def _negativity_series(draw) -> list[float]:
     """Negativity samples: all zero, all one, random with edge values, or with a plateau."""
-    size = draw(st.one_of(st.just(2), st.integers(2, 300)))
+    size = draw(st.one_of(st.just(2), st.integers(2, 64)))
     kind = draw(st.sampled_from(("zeros", "ones", "mixed", "plateau")))
     if kind == "zeros":
         return [0.0] * size
@@ -367,7 +367,7 @@ def _negativity_series(draw) -> list[float]:
     return values
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(values=_negativity_series(), tau_max=st.floats(1e-3, 1e6))
 @example(values=[0.0, 0.0], tau_max=10.0)
 @example(values=[1.0, 1.0], tau_max=10.0)
