@@ -481,7 +481,6 @@ class TestFloatFormatting:
         assert cli._format_float(1.99979167643e-08) == "1.99979167643e-08"
         assert cli._format_float(-1.0) == "-1.00000000000e+00"
 
-
     @pytest.mark.parametrize("label", range(len(CLASS_LABELS)))
     def test_series_rows_format_each_field_like_format_float(self, label):
         tol = cli.FORMAT_SNAP_TOL
