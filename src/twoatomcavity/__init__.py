@@ -12,7 +12,6 @@ from .dynamics import (
     SeriesColumns,
     TimeSeriesRecord,
     average_negativity,
-    evolve_reduced,
     first_negativity_zero,
     midline_crossing_count,
     negativity_zero_count,
@@ -23,12 +22,10 @@ from .dynamics import (
 from .entanglement import ClassMatch, NegativityResult, classify, negativity
 from .errors import (
     ConvergenceFailure,
-    CutoffTooSmall,
     DegenerateRoots,
     DomainError,
     NotHermitian,
     NotNormalized,
-    TruncationLeak,
     TwoAtomCavityError,
 )
 from .linalg import (
@@ -43,12 +40,9 @@ from .model import (
     SystemParams,
     TwoAtomAmplitudes,
     full_hamiltonian,
-    initial_state,
-    joint_state_from_atomic,
     named_atomic_state,
     spectral_quantities,
     subspace_hamiltonian,
-    subspace_joint_indices,
 )
 from .propagator import (
     AuditReport,
@@ -56,8 +50,6 @@ from .propagator import (
     SubspacePropagator,
     audit_closed_form,
     propagate_closed_form,
-    propagate_full,
-    propagate_full_restricted,
     propagate_spectral,
 )
 
@@ -67,7 +59,6 @@ __all__ = [
     "AuditReport",
     "ClassMatch",
     "ConvergenceFailure",
-    "CutoffTooSmall",
     "DegenerateRoots",
     "DomainError",
     "ElementAudit",
@@ -80,19 +71,15 @@ __all__ = [
     "SubspacePropagator",
     "SystemParams",
     "TimeSeriesRecord",
-    "TruncationLeak",
     "TwoAtomAmplitudes",
     "TwoAtomCavityError",
     "audit_closed_form",
     "average_negativity",
     "classify",
     "eig_hermitian",
-    "evolve_reduced",
     "expm_i_hermitian",
     "first_negativity_zero",
     "full_hamiltonian",
-    "initial_state",
-    "joint_state_from_atomic",
     "midline_crossing_count",
     "named_atomic_state",
     "negativity",
@@ -101,13 +88,10 @@ __all__ = [
     "partial_transpose",
     "populations",
     "propagate_closed_form",
-    "propagate_full",
-    "propagate_full_restricted",
     "propagate_spectral",
     "series_columns",
     "spectral_quantities",
     "subspace_hamiltonian",
-    "subspace_joint_indices",
     "time_series",
     "__version__",
 ]

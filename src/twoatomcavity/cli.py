@@ -32,7 +32,7 @@ from .dynamics import (
     series_columns,
 )
 from .entanglement import CLASS_LABELS
-from .errors import NotNormalized, TwoAtomCavityError
+from .errors import TwoAtomCavityError
 from .model import (
     ATOMIC_STATE_NAMES,
     SystemParams,
@@ -489,9 +489,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = resolve_config(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except NotNormalized as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     runners = {"series": run_series, "sweep": run_sweep, "audit": run_audit}

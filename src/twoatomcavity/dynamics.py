@@ -14,8 +14,7 @@ classify, class labels), into which it writes each chunk.
 statistics (:func:`first_negativity_zero`, :func:`negativity_zero_count`,
 :func:`average_negativity`) take records; each delegates to an array
 implementation over the ``tau`` and ``negativity`` columns, which sweeps
-call directly.  :func:`evolve_reduced` evolves the truncated full space
-instead and is kept as an independent oracle.
+call directly.
 """
 from __future__ import annotations
 
@@ -30,9 +29,7 @@ from .model import (
     SystemParams,
     TwoAtomAmplitudes,
     excitation_block,
-    joint_state_from_atomic,
 )
-from .propagator import propagate_full
 
 #: Populations more negative than this are genuine violations, not round-off.
 POPULATION_CLAMP = 1e-12
@@ -71,21 +68,6 @@ def _atomic_vector_of(initial: TwoAtomAmplitudes | np.ndarray) -> np.ndarray:
             f"got shape {vector.shape}"
         )
     return vector
-
-
-def evolve_reduced(
-    params: SystemParams, initial: TwoAtomAmplitudes | np.ndarray, tau: float
-) -> np.ndarray:
-    """Reduced two-atom density matrix at scaled time ``tau``.
-
-    Evolves the joint state in the truncated full space, then traces out the
-    field: the independent oracle for :func:`time_series`.  ``initial`` is a
-    product-state description or a length-4 atomic vector (basis |ee>, |eg>,
-    |ge>, |gg>) tensored with ``|n_photon>``.
-    """
-    psi0 = joint_state_from_atomic(_atomic_vector_of(initial), params)
-    evolved = propagate_full(params, tau, psi0)
-    return linalg.partial_trace_field(evolved)
 
 
 def _populations_stack(rho: np.ndarray) -> np.ndarray:

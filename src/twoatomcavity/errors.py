@@ -33,10 +33,3 @@ class DegenerateRoots(TwoAtomCavityError):
 class DomainError(TwoAtomCavityError):
     """An inverse-cosine argument lies outside [-1, 1] beyond round-off."""
 
-
-class CutoffTooSmall(TwoAtomCavityError):
-    """The Fock-space cutoff cannot hold the two-excitation ladder."""
-
-
-class TruncationLeak(TwoAtomCavityError):
-    """Evolved amplitude reached the top of the truncated Fock space."""

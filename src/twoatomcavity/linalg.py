@@ -2,9 +2,11 @@
 
 The production path only ever decomposes matrices of dimension at most 4
 (an excitation block or a two-atom reduced state).  ``MAX_DIM`` bounds the
-input of the eigensolver entry points; it admits the full-space oracle's
-truncated atoms-plus-field matrices up to 64x64.  All functions are pure
-and deterministic: identical inputs produce identical outputs.
+input of the public eigensolver entry points; it admits the truncated
+atoms-plus-field matrix of :func:`twoatomcavity.model.full_hamiltonian` up to
+64x64 (``n_photon = 9``), which the baseline benchmark decomposes.  All
+functions are pure and deterministic: identical inputs produce identical
+outputs.
 
 The work is done by private stack kernels (``_eigh_stack``,
 ``_partial_trace_stack``, ``_partial_transpose``) that take a leading batch
@@ -22,8 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NotHermitian, NotNormalized
 
-#: Largest matrix dimension accepted by the eigensolver entry points; it
-#: guards the input size of the full-space oracle.
+#: Largest matrix dimension accepted by the public eigensolver entry points.
 MAX_DIM = 64
 
 #: Tolerance on ``max|m - m^dagger|`` below which a matrix counts as Hermitian.
@@ -139,7 +140,7 @@ def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:
 def _partial_trace_stack(amplitudes: np.ndarray) -> np.ndarray:
     """Reduced atomic matrices of a stack of joint states.
 
-    ``amplitudes`` has shape ``(batch, n_atomic, field_dim)``; the result is
+    ``amplitudes`` has shape ``(batch, n_atomic, n_field)``; the result is
     ``(batch, n_atomic, n_atomic)``.  Raises :class:`NotNormalized` naming the
     first state of the stack whose squared norm is off by
     ``NORMALIZATION_TOL`` or more, or is not finite.
@@ -161,9 +162,9 @@ def partial_trace_field(psi: np.ndarray, n_atomic: int = 4) -> np.ndarray:
     """Trace the field out of a pure atoms-plus-field state.
 
     Args:
-        psi: joint amplitudes, either flat with length ``n_atomic * field_dim``
+        psi: joint amplitudes, either flat with length ``n_atomic * n_field``
             (atomic index major, photon number minor) or already shaped
-            ``(n_atomic, field_dim)``.
+            ``(n_atomic, n_field)``.
         n_atomic: dimension of the atomic factor (4 for two qubits).
 
     Returns:

@@ -6,9 +6,7 @@ time in units of the atom-field coupling, a single dimensionless detuning
 ``delta`` and the initial photon number ``n_photon`` fix the dynamics.
 
 Atomic basis order is (|ee>, |eg>, |ge>, |gg>) throughout; the field basis is
-ascending photon number.  Joint states are stored atomic-index major, i.e.
-flat index ``j * (fock_cutoff + 1) + m`` for atomic index ``j`` and photon
-number ``m``.
+ascending photon number.
 
 The interaction conserves the excitation number, so the joint space splits
 into blocks of at most four states.  Starting from |ee, n>, the dynamics only
@@ -20,11 +18,11 @@ for any block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DegenerateRoots, DomainError, NotNormalized
+from .errors import DegenerateRoots, DomainError, NotNormalized
 
 #: Tolerance for per-atom amplitude normalization.
 AMPLITUDE_TOL = 1e-12
@@ -35,10 +33,7 @@ DEGENERACY_TOL = 1e-9
 #: Allowed round-off overshoot of the inverse-cosine argument past +-1.
 ARCCOS_OVERSHOOT_TOL = 1e-12
 
-#: Smallest admissible cutoff margin above ``n_photon``.
-MIN_CUTOFF_MARGIN = 4
-
-#: Default cutoff margin above ``n_photon``.
+#: Photon levels above ``n_photon`` kept by :func:`full_hamiltonian`.
 DEFAULT_CUTOFF_MARGIN = 6
 
 
@@ -46,40 +41,22 @@ DEFAULT_CUTOFF_MARGIN = 6
 class SystemParams:
     """Dimensionless parameters of the atoms-plus-cavity system.
 
+    Time and detuning are measured in units of the atom-field coupling
+    (``tau = coupling * t``), so the coupling itself is 1 and no parameter.
+
     Attributes:
         delta: detuning in units of the coupling.
         n_photon: initial photon number of the cavity mode.
-        coupling: atom-field coupling; fixed to 1 by the time scaling
-            ``tau = coupling * t`` and kept only to make the scaling explicit.
-        fock_cutoff: highest photon number retained in the truncated field
-            space of the full-space oracle; defaults to ``n_photon + 6``.
-            The production path does not truncate and ignores it.
     """
 
     delta: float
     n_photon: int
-    coupling: float = 1.0
-    fock_cutoff: int = field(default=-1)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.delta):
             raise ValueError("delta must be finite")
         if int(self.n_photon) != self.n_photon or self.n_photon < 0:
             raise ValueError(f"n_photon must be a non-negative integer, got {self.n_photon!r}")
-        if not (self.coupling > 0):
-            raise ValueError(f"coupling must be positive, got {self.coupling!r}")
-        if self.fock_cutoff == -1:
-            object.__setattr__(self, "fock_cutoff", self.n_photon + DEFAULT_CUTOFF_MARGIN)
-        if self.fock_cutoff < self.n_photon + MIN_CUTOFF_MARGIN:
-            raise CutoffTooSmall(
-                f"fock_cutoff={self.fock_cutoff} cannot hold the two-excitation ladder; "
-                f"need at least n_photon + {MIN_CUTOFF_MARGIN} = {self.n_photon + MIN_CUTOFF_MARGIN}"
-            )
-
-    @property
-    def field_dim(self) -> int:
-        """Number of retained Fock levels (photon numbers 0..fock_cutoff)."""
-        return self.fock_cutoff + 1
 
 
 @dataclass(frozen=True)
@@ -272,19 +249,14 @@ def subspace_hamiltonian(params: SystemParams) -> np.ndarray:
 def full_hamiltonian(params: SystemParams) -> np.ndarray:
     """Interaction-picture Hamiltonian on the truncated atoms-plus-field space.
 
-    The detuning term is ``delta * (P_e1 + P_e2 - 1)`` tensored with the field
+    The field keeps photon numbers 0..``n_photon + DEFAULT_CUTOFF_MARGIN``;
+    basis states are ordered atomic index major, photon number minor.  The
+    detuning term is ``delta * (P_e1 + P_e2 - 1)`` tensored with the field
     identity; each atom contributes excitation-conserving exchange terms
     ``sqrt(m+1) * (|g, m+1><e, m| + h.c.)``.  Restricted to the invariant
     subspace of |ee, n> this reproduces :func:`subspace_hamiltonian` exactly.
-
-    Raises:
-        CutoffTooSmall: if the cutoff cannot hold the two-excitation ladder.
     """
-    if params.fock_cutoff < params.n_photon + MIN_CUTOFF_MARGIN:
-        raise CutoffTooSmall(
-            f"fock_cutoff={params.fock_cutoff} is below n_photon + {MIN_CUTOFF_MARGIN}"
-        )
-    m_dim = params.field_dim
+    m_dim = params.n_photon + DEFAULT_CUTOFF_MARGIN + 1
     identity_field = np.eye(m_dim)
     # Atomic operators in basis (ee, eg, ge, gg): lowering operator per atom.
     lower_1 = np.zeros((4, 4))
@@ -300,42 +272,3 @@ def full_hamiltonian(params: SystemParams) -> np.ndarray:
     for lower in (lower_1, lower_2):
         hamiltonian += np.kron(lower, creation) + np.kron(lower.T, annihilation)
     return hamiltonian.astype(np.complex128)
-
-
-def subspace_joint_indices(params: SystemParams) -> tuple[int, int, int, int]:
-    """Flat joint-space indices of the invariant-subspace basis states.
-
-    Order matches the subspace basis: (ee, n), (eg, n+1), (ge, n+1),
-    (gg, n+2).
-    """
-    m_dim = params.field_dim
-    n = params.n_photon
-    return (0 * m_dim + n, 1 * m_dim + n + 1, 2 * m_dim + n + 1, 3 * m_dim + n + 2)
-
-
-def joint_state_from_atomic(atomic_vector: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Tensor an atomic 4-vector with the Fock state ``|n_photon>``."""
-    atomic_vector = np.asarray(atomic_vector, dtype=np.complex128)
-    if atomic_vector.shape != (4,):
-        raise ValueError(f"expected a length-4 atomic vector, got shape {atomic_vector.shape}")
-    fock = np.zeros(params.field_dim, dtype=np.complex128)
-    fock[params.n_photon] = 1.0
-    return np.kron(atomic_vector, fock)
-
-
-def initial_state(amps: TwoAtomAmplitudes, params: SystemParams) -> np.ndarray:
-    """Joint initial state: atomic product state tensored with ``|n_photon>``.
-
-    The atomic amplitudes land as ``a1*a2`` on |gg, n>, ``b1*a2`` on |eg, n>,
-    ``a1*b2`` on |ge, n>, and ``b1*b2`` on |ee, n>.
-
-    Raises:
-        NotNormalized: if the resulting joint state is not normalized within
-            ``AMPLITUDE_TOL`` (cannot happen for valid amplitudes; kept as a
-            guard).
-    """
-    psi = joint_state_from_atomic(amps.atomic_vector(), params)
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) >= AMPLITUDE_TOL * 10:
-        raise NotNormalized(f"joint state squared norm {norm_sq!r} deviates from 1")
-    return psi

@@ -1,12 +1,11 @@
-"""Time-evolution operators, computed three ways and audited.
+"""Time-evolution operators, computed two ways and audited.
 
 The production path is the *spectral* propagator: eigendecompose the
 invariant-subspace Hamiltonian and exponentiate the spectrum.  The
-*full-space* path evolves the truncated atoms-plus-field state and exists as
-an independent oracle.  The *closed-form* path evaluates a set of analytic
-element formulas for the same subspace propagator; those formulas carry known
-transcription defects, so they are kept under audit rather than used for
-production.  The closed form comes in two variants:
+*closed-form* path evaluates a set of analytic element formulas for the same
+subspace propagator; those formulas carry known transcription defects, so
+they are kept under audit rather than used for production.  The closed form
+comes in two variants:
 
 - ``strict``: the element formulas evaluated verbatim;
 - ``corrected``: two repairs applied — the phase factor of element (1,1)
@@ -25,21 +24,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import NotNormalized, TruncationLeak
 from .model import (
+    DEFAULT_CUTOFF_MARGIN,
     SpectralQuantities,
     SystemParams,
-    full_hamiltonian,
     spectral_quantities,
     subspace_hamiltonian,
-    subspace_joint_indices,
 )
 
 #: Deviation above which an audited element is declared a mismatch.
 AUDIT_TOL = 1e-6
-
-#: Maximum amplitude tolerated on the top two retained Fock levels.
-TRUNCATION_TOL = 1e-12
 
 #: Closed-form variants understood by the audit.
 CLOSED_FORM_MODES = ("strict", "corrected")
@@ -52,10 +46,9 @@ ELEMENT_IDS = tuple(f"u{row}{col}" for row in range(1, 5) for col in range(1, 5)
 class SubspacePropagator:
     """A 4x4 propagator on the invariant subspace at scaled time ``tau``.
 
-    ``method`` records how the matrix was obtained: ``spectral``,
-    ``closed_form``, or ``full_space_restricted``.  The spectral and
-    restricted methods are unitary within 1e-10; the closed form is under
-    audit and may not be.
+    ``method`` records how the matrix was obtained: ``spectral`` or
+    ``closed_form``.  The spectral propagator is unitary within 1e-10; the
+    closed form is under audit and may not be.
     """
 
     u: np.ndarray
@@ -141,59 +134,6 @@ def _closed_form_matrix(
     )
 
 
-def propagate_full(params: SystemParams, tau: float, initial: np.ndarray) -> np.ndarray:
-    """Evolve a joint atoms-plus-field state in the truncated full space.
-
-    Args:
-        params: system parameters; ``fock_cutoff`` sets the truncation.
-        tau: scaled time.
-        initial: normalized joint state, flat length ``4 * field_dim``.
-
-    Returns:
-        The evolved joint state.
-
-    Raises:
-        NotNormalized: if the initial state is not normalized within 1e-10.
-        TruncationLeak: if the evolved state has amplitude above
-            ``TRUNCATION_TOL`` on the top two retained Fock levels.
-    """
-    initial = np.asarray(initial, dtype=np.complex128)
-    expected = 4 * params.field_dim
-    if initial.shape != (expected,):
-        raise ValueError(
-            f"expected a flat joint state of length {expected}, got shape {initial.shape}"
-        )
-    norm_sq = float(np.sum(np.abs(initial) ** 2))
-    if abs(norm_sq - 1.0) >= linalg.NORMALIZATION_TOL:
-        raise NotNormalized(f"initial joint state squared norm {norm_sq!r} deviates from 1")
-    u_full = linalg.expm_i_hermitian(full_hamiltonian(params), tau)
-    evolved = u_full @ initial
-    _check_truncation(evolved, params)
-    return evolved
-
-
-def _check_truncation(psi: np.ndarray, params: SystemParams) -> None:
-    """Raise :class:`TruncationLeak` if the top two Fock levels are populated."""
-    amplitudes = psi.reshape(4, params.field_dim)
-    top_amplitude = float(np.max(np.abs(amplitudes[:, -2:])))
-    if top_amplitude >= TRUNCATION_TOL:
-        raise TruncationLeak(
-            f"amplitude {top_amplitude:.3e} on the top two Fock levels exceeds "
-            f"{TRUNCATION_TOL:.0e}; raise fock_cutoff"
-        )
-
-
-def propagate_full_restricted(params: SystemParams, tau: float) -> SubspacePropagator:
-    """Full-space propagator restricted to the invariant-subspace basis.
-
-    Used as an independent oracle for the subspace methods.
-    """
-    u_full = linalg.expm_i_hermitian(full_hamiltonian(params), tau)
-    idx = list(subspace_joint_indices(params))
-    u = u_full[np.ix_(idx, idx)]
-    return SubspacePropagator(u=u, tau=float(tau), method="full_space_restricted")
-
-
 @dataclass(frozen=True)
 class ElementModeResult:
     """Audit outcome for one element under one closed-form mode."""
@@ -217,7 +157,9 @@ class AuditReport:
     ``elements`` holds one entry per matrix element (16 in total), each with
     the maximum deviation over ``tau_grid`` and a match/mismatch verdict for
     every audited mode.  ``findings`` collects free-text observations such as
-    the identity-at-zero check.
+    the identity-at-zero check.  ``fock_cutoff`` is reported as
+    ``n_photon + DEFAULT_CUTOFF_MARGIN``, the truncation of
+    :func:`twoatomcavity.model.full_hamiltonian`; the audit truncates nothing.
     """
 
     delta: float
@@ -372,7 +314,7 @@ def audit_closed_form(
     return AuditReport(
         delta=float(params.delta),
         n_photon=params.n_photon,
-        fock_cutoff=params.fock_cutoff,
+        fock_cutoff=params.n_photon + DEFAULT_CUTOFF_MARGIN,
         tau_grid=tuple(tau_values),
         modes=modes,
         tolerance=AUDIT_TOL,

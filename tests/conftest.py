@@ -1,11 +1,19 @@
 """Shared fixtures: a seeded generator and repository paths."""
 from __future__ import annotations
 
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before NumPy is first imported: on a busy two-core
+# host a multithreaded BLAS makes the small stacked eigh calls many times
+# slower.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 TESTS_DIR = Path(__file__).resolve().parent
 if str(TESTS_DIR) not in sys.path:

@@ -7,12 +7,14 @@ routes is meaningful:
 - a cyclic Jacobi eigensolver for complex Hermitian matrices (vs. LAPACK);
 - a fixed-step Runge-Kutta integrator for the Schroedinger equation
   (vs. spectral exponentiation);
+- the truncated atoms-plus-field space, its Hamiltonian built by loops over
+  basis states and traced by loops (vs. the exact excitation blocks and the
+  stacked partial-trace kernel);
 - a cofactor-expansion 3x3 determinant (vs. the trigonometric root formulas);
 - loop-based partial trace and partial transpose (vs. vectorized reshapes);
 - the closed-form partial-transpose spectrum of a Werner state;
 - the three-rung symmetric excitation ladder with a closed-form X-state
-  negativity (vs. the truncated full space and a 4x4 partial-transpose
-  spectrum);
+  negativity (vs. the full space and a 4x4 partial-transpose spectrum);
 - record-loop negativity statistics, one Python loop over sampled records
   (vs. the package's array statistics, which must match them bit for bit).
 
@@ -112,6 +114,77 @@ def brute_partial_trace_field(psi: np.ndarray, field_dim: int) -> np.ndarray:
             for m in range(field_dim):
                 rho[j, k] += amplitudes[j, m] * np.conj(amplitudes[k, m])
     return rho
+
+
+#: Photon levels kept above the prepared photon number by the full space.
+FULL_SPACE_MARGIN = 6
+
+
+def full_space_hamiltonian(delta: float, n_photon: int) -> np.ndarray:
+    """Atoms-plus-field Hamiltonian truncated at photon number ``n_photon + 6``.
+
+    Built entry by entry over the basis states ``|i1 i2, m>`` (``0`` excited,
+    ``1`` ground per atom) at flat index ``(2*i1 + i2) * field_dim + m``.  The
+    diagonal is ``delta`` times (excited atoms - 1); each excited atom couples
+    to the state where it is ground and the field holds one more photon, with
+    amplitude ``sqrt(m + 1)``.
+    """
+    field_dim = n_photon + FULL_SPACE_MARGIN + 1
+    hamiltonian = np.zeros((4 * field_dim, 4 * field_dim), dtype=np.complex128)
+    for i1 in range(2):
+        for i2 in range(2):
+            for m in range(field_dim):
+                row = (2 * i1 + i2) * field_dim + m
+                hamiltonian[row, row] = delta * (1 - i1 - i2)
+                for levels in ((1, i2), (i1, 1)):
+                    if levels == (i1, i2) or m + 1 == field_dim:
+                        continue  # that atom is already ground, or no level above
+                    column = (2 * levels[0] + levels[1]) * field_dim + m + 1
+                    hamiltonian[row, column] = hamiltonian[column, row] = np.sqrt(m + 1.0)
+    return hamiltonian
+
+
+def full_space_block_indices(n_photon: int) -> list[int]:
+    """Flat indices of ``(|ee,n>, |eg,n+1>, |ge,n+1>, |gg,n+2>)`` in the full space."""
+    field_dim = n_photon + FULL_SPACE_MARGIN + 1
+    return [n_photon + shift + atomic * field_dim for atomic, shift in enumerate((0, 1, 1, 2))]
+
+
+class FullSpaceOracle:
+    """Exact dynamics of ``|atoms> (x) |n>`` in the truncated full space.
+
+    :func:`full_space_hamiltonian` is diagonalized once by
+    ``numpy.linalg.eigh``; each time rotates the phases of its eigenvectors.
+    The cutoff at ``n + 6`` photons only truncates excitation blocks that a
+    preparation at photon number ``n`` never reaches.
+    """
+
+    def __init__(self, delta: float, n_photon: int) -> None:
+        self.n_photon = n_photon
+        self.field_dim = n_photon + FULL_SPACE_MARGIN + 1
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(
+            full_space_hamiltonian(delta, n_photon)
+        )
+
+    def initial_state(self, atomic) -> np.ndarray:
+        """The atomic 4-vector (ee, eg, ge, gg) tensored with ``|n_photon>``."""
+        fock = np.zeros(self.field_dim, dtype=np.complex128)
+        fock[self.n_photon] = 1.0
+        return np.kron(np.asarray(atomic, dtype=np.complex128), fock)
+
+    def state(self, atomic, tau: float) -> np.ndarray:
+        """Joint state at ``tau`` of the preparation ``atomic (x) |n_photon>``."""
+        coefficients = self.eigenvectors.conj().T @ self.initial_state(atomic)
+        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * tau) * coefficients)
+
+    def reduced_state(self, atomic, tau: float) -> np.ndarray:
+        """Reduced two-atom state at ``tau``, traced by :func:`brute_partial_trace_field`."""
+        return brute_partial_trace_field(self.state(atomic, tau), self.field_dim)
+
+    def restricted_propagator(self, tau: float) -> np.ndarray:
+        """The propagator at ``tau`` on the block of ``|ee, n_photon>``."""
+        v = self.eigenvectors[full_space_block_indices(self.n_photon)]
+        return (v * np.exp(-1j * self.eigenvalues * tau)) @ v.conj().T
 
 
 def brute_partial_transpose_second(rho: np.ndarray) -> np.ndarray:

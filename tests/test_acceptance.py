@@ -28,13 +28,10 @@ from twoatomcavity.model import (
     named_atomic_state,
     spectral_quantities,
 )
-from twoatomcavity.propagator import (
-    audit_closed_form,
-    propagate_full_restricted,
-    propagate_spectral,
-)
+from twoatomcavity.propagator import audit_closed_form, propagate_spectral
 
 from oracles import (
+    FullSpaceOracle,
     brute_negativity,
     first_downward_crossing,
     random_local_unitary,
@@ -102,11 +99,12 @@ def test_criterion_01_unitarity_and_oracle_equivalence():
     for delta in DELTA_GRID:
         for n in N_GRID:
             params = SystemParams(delta=delta, n_photon=n)
+            oracle = FullSpaceOracle(delta, n)
             for tau in TAU_GRID:
                 u = propagate_spectral(params, tau).u
                 defect = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
                 worst_unitarity = max(worst_unitarity, defect)
-                restricted = propagate_full_restricted(params, tau).u
+                restricted = oracle.restricted_propagator(tau)
                 gap = float(np.max(np.abs(u - restricted)))
                 worst_agreement = max(worst_agreement, gap)
     assert worst_unitarity < 1e-10, f"worst unitarity defect {worst_unitarity:.3e}"
@@ -180,14 +178,12 @@ def test_criterion_04_dark_state_conservation(m):
 def test_criterion_05_periodicity_and_exact_initial_negativity():
     """Resonant no-photon revival: return fidelity above 1 - 1e-8 at
     tau = 2*pi/sqrt(6), and the initial negativity is exactly zero."""
-    params = SystemParams(delta=0.0, n_photon=0)
     revival_tau = 2.0 * np.pi / np.sqrt(6.0)
-    from twoatomcavity.dynamics import evolve_reduced
-
-    rho = evolve_reduced(params, named_atomic_state("ee"), revival_tau)
+    rho = FullSpaceOracle(0.0, 0).reduced_state(named_atomic_state("ee"), revival_tau)
     fidelity = float(np.real(rho[0, 0]))
     assert fidelity > 1.0 - 1e-8, f"revival fidelity {fidelity!r}"
 
+    params = SystemParams(delta=0.0, n_photon=0)
     records = time_series(params, named_atomic_state("ee"), WINDOW, 11)
     assert records[0].negativity == 0.0, (
         f"initial negativity {records[0].negativity!r} is not exactly zero"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import twoatomcavity
 from twoatomcavity import entanglement
+from twoatomcavity.cli import FORMAT_SNAP_TOL
 from twoatomcavity.dynamics import (
     NEGATIVITY_ZERO_THRESHOLD,
     TimeSeriesRecord,
@@ -21,7 +22,6 @@ from twoatomcavity.dynamics import (
     _first_negativity_zero,
     _negativity_zero_count,
     average_negativity,
-    evolve_reduced,
     first_negativity_zero,
     midline_crossing_count,
     negativity_zero_count,
@@ -35,13 +35,15 @@ from twoatomcavity.model import (
     SystemParams,
     TwoAtomAmplitudes,
     full_hamiltonian,
-    joint_state_from_atomic,
     named_atomic_state,
 )
+from twoatomcavity.propagator import propagate_spectral
 
 from oracles import (
+    FullSpaceOracle,
     brute_negativity,
     brute_partial_trace_field,
+    full_space_block_indices,
     ladder_x_state,
     record_average_negativity,
     record_first_negativity_zero,
@@ -67,53 +69,54 @@ def make_records(taus, negativities) -> list[TimeSeriesRecord]:
     ]
 
 
-class TestEvolveReduced:
+class TestFullSpaceOracle:
     def test_matches_rk4_oracle(self):
         params = SystemParams(delta=0.5, n_photon=0)
-        psi0 = joint_state_from_atomic(named_atomic_state("ee"), params)
-        psi = rk4_evolve(full_hamiltonian(params), psi0, 0.5)
-        expected = brute_partial_trace_field(psi, params.field_dim)
-        rho = evolve_reduced(params, named_atomic_state("ee"), 0.5)
-        assert np.max(np.abs(rho - expected)) < 1e-8
+        oracle = FullSpaceOracle(0.5, 0)
+        ee = named_atomic_state("ee")
+        psi = rk4_evolve(full_hamiltonian(params), oracle.initial_state(ee), 0.5)
+        assert np.max(np.abs(oracle.state(ee, 0.5) - psi)) < 1e-8
+        expected = brute_partial_trace_field(psi, oracle.field_dim)
+        assert np.max(np.abs(oracle.reduced_state(ee, 0.5) - expected)) < 1e-8
+
+    def test_block_amplitudes_match_spectral_column(self):
+        oracle = FullSpaceOracle(0.5, 1)
+        evolved = oracle.state(named_atomic_state("ee"), 1.3)
+        idx = full_space_block_indices(1)
+        column = propagate_spectral(SystemParams(delta=0.5, n_photon=1), 1.3).u[:, 0]
+        assert np.max(np.abs(evolved[idx] - column)) < 1e-10
+        assert np.max(np.abs(np.delete(evolved, idx))) < 1e-12
 
     def test_unit_trace_and_positivity(self):
-        params = SystemParams(delta=0.1, n_photon=1)
+        oracle = FullSpaceOracle(0.1, 1)
         for tau in (0.0, 0.7, 2.9):
-            rho = evolve_reduced(params, named_atomic_state("ee"), tau)
+            rho = oracle.reduced_state(named_atomic_state("ee"), tau)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             eigenvalues = np.linalg.eigvalsh(rho)
             assert eigenvalues.min() > -1e-12
 
     def test_purity_range(self):
-        params = SystemParams(delta=0.5, n_photon=3)
+        oracle = FullSpaceOracle(0.5, 3)
         for tau in (0.0, 1.1, 4.2, 8.8):
-            rho = evolve_reduced(params, named_atomic_state("ee"), tau)
+            rho = oracle.reduced_state(named_atomic_state("ee"), tau)
             purity = float(np.real(np.trace(rho @ rho)))
             assert 0.25 - 1e-12 <= purity <= 1.0 + 1e-12
 
     def test_block_sparsity_from_basis_initial(self):
         # Each atomic component rides a distinct photon number, so after the
         # trace only the pair sharing one survives as a coherence.
-        params = SystemParams(delta=0.5, n_photon=0)
-        rho = evolve_reduced(params, named_atomic_state("ee"), 1.3)
+        rho = FullSpaceOracle(0.5, 0).reduced_state(named_atomic_state("ee"), 1.3)
         for row, col in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)):
             assert abs(rho[row, col]) < 1e-12
             assert abs(rho[col, row]) < 1e-12
         assert abs(rho[1, 2]) > 1e-3  # the surviving coherence is genuine
 
-    def test_accepts_amplitude_object(self):
-        params = SystemParams(delta=0.0, n_photon=0)
-        amps = TwoAtomAmplitudes(a1=0.0, b1=1.0, a2=0.0, b2=1.0)
-        via_object = evolve_reduced(params, amps, 0.9)
-        via_vector = evolve_reduced(params, named_atomic_state("ee"), 0.9)
-        assert np.max(np.abs(via_object - via_vector)) < 1e-14
-
     def test_singlet_is_stationary(self):
-        params = SystemParams(delta=0.7, n_photon=2)
+        oracle = FullSpaceOracle(0.7, 2)
         singlet = named_atomic_state("singlet")
         frozen = np.outer(singlet, singlet.conj())
         for tau in (0.0, 2.5, 7.5):
-            rho = evolve_reduced(params, singlet, tau)
+            rho = oracle.reduced_state(singlet, tau)
             assert np.max(np.abs(rho - frozen)) < 1e-12
 
 
@@ -162,9 +165,9 @@ class TestSymmetricLadderOracle:
         for k in range(0, len(self.TAUS), 25):
             rho = ladder_x_state(amplitudes[k])
             assert abs(brute_negativity(rho) - values[k]) <= 1e-12
-        params = SystemParams(delta=delta, n_photon=n)
+        oracle = FullSpaceOracle(delta, n)
         for k in (100, 437, 1000):
-            rho = evolve_reduced(params, named_atomic_state(start), self.TAUS[k])
+            rho = oracle.reduced_state(named_atomic_state(start), self.TAUS[k])
             assert np.max(np.abs(ladder_x_state(amplitudes[k]) - rho)) <= 1e-10
 
     def test_ground_pair_without_photons_is_stationary(self):
@@ -221,8 +224,9 @@ class TestTimeSeries:
     def test_matches_pointwise_evolution(self):
         params = SystemParams(delta=0.5, n_photon=0)
         records = time_series(params, named_atomic_state("ee"), 3.0, 7)
+        oracle = FullSpaceOracle(0.5, 0)
         for record in records:
-            rho = evolve_reduced(params, named_atomic_state("ee"), record.tau)
+            rho = oracle.reduced_state(named_atomic_state("ee"), record.tau)
             assert record.p_ee == pytest.approx(float(np.real(rho[0, 0])), abs=1e-10)
             assert record.negativity == pytest.approx(negativity(rho).value, abs=1e-10)
 
@@ -297,19 +301,63 @@ _phases = st.floats(0.0, 2 * np.pi)
     steps=st.integers(2, 200),
 )
 def test_batched_series_matches_scalar_route(delta, n_photon, atom1, atom2, tau_max, steps):
-    """Every chunked record equals evolve_reduced -> populations/negativity/classify."""
+    """Every chunked record equals the full-space oracle -> populations/negativity/classify."""
     (a1, b1), (a2, b2) = _product(*atom1), _product(*atom2)
     initial = TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2)
-    params = SystemParams(delta=delta, n_photon=n_photon)
-    records = time_series(params, initial, tau_max, steps)
+    records = time_series(SystemParams(delta=delta, n_photon=n_photon), initial, tau_max, steps)
     assert len(records) == steps
+    oracle = FullSpaceOracle(delta, n_photon)
+    atomic = np.kron([b1, a1], [b2, a2])  # (ee, eg, ge, gg), excited first per atom
     for record in records:
-        rho = evolve_reduced(params, initial, record.tau)
+        rho = oracle.reduced_state(atomic, record.tau)
         assert np.allclose(record.populations, populations(rho), rtol=0.0, atol=1e-10)
         degree = negativity(rho).value
         assert abs(record.negativity - degree) < 1e-10
         if abs(degree - SEPARABLE_THRESHOLD) > 1e-9:
             assert record.class_label == classify(rho).label, record
+
+
+@st.composite
+def _product_amplitudes(draw) -> tuple[complex, complex, complex, complex]:
+    """Amplitudes ``(a1, b1, a2, b2)`` of a random complex product state."""
+    (a1, b1), (a2, b2) = (
+        _product(*draw(st.tuples(_angles, _phases, _phases))) for _ in range(2)
+    )
+    return a1, b1, a2, b2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    n_photon=st.integers(0, 10**6),
+    amplitudes=_product_amplitudes(),
+    tau_max=st.floats(0.1, 20.0),
+    steps=st.integers(2, 64),
+)
+@example(
+    delta=0.3, n_photon=10**6, amplitudes=(0.6, 0.8, 0.8j, 0.6), tau_max=10.0, steps=101
+)
+def test_series_invariants_hold_at_any_photon_number(delta, n_photon, amplitudes, tau_max, steps):
+    """Unit population sum, negativity in [0, 1], atom-swap symmetry, dark singlet."""
+    params = SystemParams(delta=delta, n_photon=n_photon)
+    a1, b1, a2, b2 = amplitudes
+    columns = series_columns(
+        params, TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2), tau_max, steps, labels=False
+    )
+    assert np.max(np.abs(columns.populations.sum(axis=1) - 1.0)) < 1e-10
+    # Separable samples carry unsnapped round-off, which the CLI writes as 0.
+    degree = columns.negativity
+    assert np.all((degree > -FORMAT_SNAP_TOL) & (degree < 1.0 + FORMAT_SNAP_TOL))
+    # Swapping the atoms swaps p_eg and p_ge and leaves the rest alone.
+    swapped = series_columns(
+        params, TwoAtomAmplitudes(a1=a2, b1=b2, a2=a1, b2=b1), tau_max, steps, labels=False
+    )
+    assert np.max(np.abs(columns.populations - swapped.populations[:, [0, 2, 1, 3]])) < 1e-9
+    assert np.max(np.abs(columns.negativity - swapped.negativity)) < 1e-9
+    singlet = series_columns(
+        params, named_atomic_state("singlet"), tau_max, steps, labels=False
+    )
+    assert np.max(np.abs(singlet.negativity - 1.0)) < 1e-10
 
 
 class TestSeriesColumns:

@@ -6,26 +6,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twoatomcavity.errors import CutoffTooSmall, DegenerateRoots, DomainError, NotNormalized
+from twoatomcavity.errors import DegenerateRoots, DomainError, NotNormalized
 from twoatomcavity.linalg import eig_hermitian, hermiticity_defect
 from twoatomcavity.model import (
     ATOMIC_STATE_NAMES,
     DEFAULT_CUTOFF_MARGIN,
-    MIN_CUTOFF_MARGIN,
     SystemParams,
     TwoAtomAmplitudes,
     _check_root_gaps,
     _clamped_arccos_argument,
     full_hamiltonian,
-    initial_state,
-    joint_state_from_atomic,
     named_atomic_state,
     spectral_quantities,
     subspace_hamiltonian,
-    subspace_joint_indices,
 )
 
-from oracles import det3, jacobi_eigh
+from oracles import det3, full_space_block_indices, full_space_hamiltonian, jacobi_eigh
 
 DELTA_GRID = (0.0, 0.1, 0.5, 1.0, 2.0)
 N_GRID = (0, 1, 3, 10)
@@ -50,21 +46,10 @@ def symmetric_block(delta: float, n: int) -> np.ndarray:
 
 
 class TestSystemParams:
-    def test_default_cutoff(self):
-        params = SystemParams(delta=0.5, n_photon=3)
-        assert params.fock_cutoff == 3 + DEFAULT_CUTOFF_MARGIN
-        assert params.field_dim == params.fock_cutoff + 1
-
-    def test_explicit_cutoff(self):
-        params = SystemParams(delta=0.0, n_photon=1, fock_cutoff=9)
-        assert params.fock_cutoff == 9
-
-    def test_minimum_cutoff_accepted(self):
-        SystemParams(delta=0.0, n_photon=2, fock_cutoff=2 + MIN_CUTOFF_MARGIN)
-
-    def test_cutoff_too_small(self):
-        with pytest.raises(CutoffTooSmall):
-            SystemParams(delta=0.0, n_photon=2, fock_cutoff=2 + MIN_CUTOFF_MARGIN - 1)
+    def test_fields_are_delta_and_photon_number(self):
+        assert [f.name for f in dataclasses.fields(SystemParams)] == ["delta", "n_photon"]
+        with pytest.raises(TypeError):
+            SystemParams(delta=0.5, n_photon=3, coupling=2.0)  # type: ignore[call-arg]
 
     def test_frozen(self):
         params = SystemParams(delta=0.0, n_photon=0)
@@ -82,10 +67,6 @@ class TestSystemParams:
     def test_rejects_non_finite_delta(self):
         with pytest.raises(ValueError):
             SystemParams(delta=np.inf, n_photon=0)
-
-    def test_rejects_non_positive_coupling(self):
-        with pytest.raises(ValueError):
-            SystemParams(delta=0.0, n_photon=0, coupling=0.0)
 
 
 class TestTwoAtomAmplitudes:
@@ -249,9 +230,15 @@ class TestFullHamiltonian:
         h = full_hamiltonian(SystemParams(delta=0.5, n_photon=1))
         assert hermiticity_defect(h) == 0.0
 
+    @pytest.mark.parametrize("delta, n", [(0.0, 0), (0.5, 1), (-1.3, 9)])
+    def test_equals_the_loop_built_oracle(self, delta, n):
+        h = full_hamiltonian(SystemParams(delta=delta, n_photon=n))
+        assert h.shape == (4 * (n + DEFAULT_CUTOFF_MARGIN + 1),) * 2
+        assert np.array_equal(h, full_space_hamiltonian(delta, n))
+
     def test_action_on_doubly_excited_state(self):
         params = SystemParams(delta=0.5, n_photon=1)
-        m_dim = params.field_dim
+        m_dim = params.n_photon + DEFAULT_CUTOFF_MARGIN + 1
         h = full_hamiltonian(params)
         source = np.zeros(4 * m_dim)
         source[0 * m_dim + 1] = 1.0  # both atoms excited, one photon
@@ -264,7 +251,7 @@ class TestFullHamiltonian:
 
     def test_conserves_total_excitation(self):
         params = SystemParams(delta=0.7, n_photon=2)
-        m_dim = params.field_dim
+        m_dim = params.n_photon + DEFAULT_CUTOFF_MARGIN + 1
         h = full_hamiltonian(params)
         excited_count = np.diag([2.0, 1.0, 1.0, 0.0])
         photon_count = np.diag(np.arange(m_dim, dtype=float))
@@ -276,7 +263,7 @@ class TestFullHamiltonian:
     def test_restriction_reproduces_subspace_hamiltonian(self, delta, n):
         params = SystemParams(delta=delta, n_photon=n)
         h_full = full_hamiltonian(params)
-        idx = list(subspace_joint_indices(params))
+        idx = full_space_block_indices(params.n_photon)
         restricted = h_full[np.ix_(idx, idx)]
         assert np.max(np.abs(restricted - subspace_hamiltonian(params))) < 1e-14
 
@@ -284,33 +271,9 @@ class TestFullHamiltonian:
         # Columns of H at subspace states have support only inside the subspace.
         params = SystemParams(delta=0.5, n_photon=1)
         h = full_hamiltonian(params)
-        idx = list(subspace_joint_indices(params))
+        idx = full_space_block_indices(params.n_photon)
         outside = [k for k in range(h.shape[0]) if k not in idx]
         for index in idx:
             column = h[:, index]
             assert np.max(np.abs(column[outside])) < 1e-15
 
-
-class TestJointStates:
-    def test_joint_state_placement(self):
-        params = SystemParams(delta=0.0, n_photon=2)
-        m_dim = params.field_dim
-        vector = joint_state_from_atomic(np.array([0.0, 1.0, 0.0, 0.0]), params)
-        assert vector[1 * m_dim + 2] == 1.0
-        assert np.sum(np.abs(vector)) == 1.0
-
-    def test_initial_state_amplitude_map(self):
-        params = SystemParams(delta=0.0, n_photon=1)
-        m_dim = params.field_dim
-        amps = TwoAtomAmplitudes(a1=0.6, b1=0.8, a2=0.8, b2=0.6)
-        psi = initial_state(amps, params)
-        n = params.n_photon
-        assert psi[0 * m_dim + n] == pytest.approx(0.8 * 0.6)  # both excited
-        assert psi[1 * m_dim + n] == pytest.approx(0.8 * 0.8)  # first excited
-        assert psi[2 * m_dim + n] == pytest.approx(0.6 * 0.6)  # second excited
-        assert psi[3 * m_dim + n] == pytest.approx(0.6 * 0.8)  # both ground
-        assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-14
-
-    def test_joint_state_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            joint_state_from_atomic(np.ones(3), SystemParams(delta=0.0, n_photon=0))

@@ -1,4 +1,4 @@
-"""Propagator tests: spectral, full-space, closed-form, and the audit."""
+"""Propagator tests: spectral, closed-form, and the audit."""
 from __future__ import annotations
 
 import json
@@ -6,14 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from twoatomcavity.errors import NotNormalized, TruncationLeak
-from twoatomcavity.model import (
-    SystemParams,
-    joint_state_from_atomic,
-    named_atomic_state,
-    spectral_quantities,
-    subspace_joint_indices,
-)
+from twoatomcavity.model import SystemParams, spectral_quantities
 from twoatomcavity.propagator import (
     AUDIT_TOL,
     CLOSED_FORM_MODES,
@@ -23,12 +16,10 @@ from twoatomcavity.propagator import (
     ElementModeResult,
     audit_closed_form,
     propagate_closed_form,
-    propagate_full,
-    propagate_full_restricted,
     propagate_spectral,
 )
 
-from oracles import rk4_evolve
+from oracles import FullSpaceOracle, rk4_evolve
 
 PARAM_GRID = [
     SystemParams(delta=delta, n_photon=n)
@@ -61,9 +52,10 @@ class TestSpectralPropagator:
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_matches_full_space_restriction(self, params):
+        oracle = FullSpaceOracle(params.delta, params.n_photon)
         for tau in (0.0, 0.9, 3.1):
             subspace = propagate_spectral(params, tau).u
-            restricted = propagate_full_restricted(params, tau).u
+            restricted = oracle.restricted_propagator(tau)
             assert np.max(np.abs(subspace - restricted)) < 1e-9
 
     def test_matches_rk4_oracle(self):
@@ -159,55 +151,6 @@ class TestClosedForm:
     def test_method_tag(self):
         result = propagate_closed_form(SystemParams(delta=0.0, n_photon=0), 0.3)
         assert result.method == "closed_form"
-
-
-class TestPropagateFull:
-    def test_matches_rk4_oracle(self):
-        params = SystemParams(delta=0.5, n_photon=0)
-        psi0 = joint_state_from_atomic(named_atomic_state("ee"), params)
-        evolved = propagate_full(params, 0.5, psi0)
-        from twoatomcavity.model import full_hamiltonian
-
-        integrated = rk4_evolve(full_hamiltonian(params), psi0, 0.5)
-        assert np.max(np.abs(evolved - integrated)) < 1e-8
-
-    def test_preserves_norm(self):
-        params = SystemParams(delta=0.5, n_photon=3)
-        psi0 = joint_state_from_atomic(named_atomic_state("gg"), params)
-        evolved = propagate_full(params, 4.0, psi0)
-        assert abs(np.sum(np.abs(evolved) ** 2) - 1.0) < 1e-12
-
-    def test_subspace_amplitudes_match_spectral_column(self):
-        params = SystemParams(delta=0.5, n_photon=1)
-        psi0 = joint_state_from_atomic(named_atomic_state("ee"), params)
-        evolved = propagate_full(params, 1.3, psi0)
-        idx = list(subspace_joint_indices(params))
-        column = propagate_spectral(params, 1.3).u[:, 0]
-        assert np.max(np.abs(evolved[idx] - column)) < 1e-10
-        complement = np.delete(evolved, idx)
-        assert np.max(np.abs(complement)) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        params = SystemParams(delta=0.0, n_photon=0)
-        psi0 = joint_state_from_atomic(named_atomic_state("ee"), params) * 1.001
-        with pytest.raises(NotNormalized):
-            propagate_full(params, 1.0, psi0)
-
-    def test_rejects_bad_shape(self):
-        params = SystemParams(delta=0.0, n_photon=0)
-        with pytest.raises(ValueError):
-            propagate_full(params, 1.0, np.zeros(5))
-
-    def test_truncation_leak_guard(self):
-        params = SystemParams(delta=0.0, n_photon=0)
-        psi = np.zeros(4 * params.field_dim, dtype=np.complex128)
-        psi[4 * params.field_dim - 1] = 1.0  # top retained Fock level occupied
-        with pytest.raises(TruncationLeak):
-            propagate_full(params, 0.0, psi)
-
-    def test_restricted_method_tag(self):
-        result = propagate_full_restricted(SystemParams(delta=0.0, n_photon=0), 0.5)
-        assert result.method == "full_space_restricted"
 
 
 @pytest.fixture(scope="module")
