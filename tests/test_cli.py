@@ -126,6 +126,25 @@ class TestArgumentHandling:
         assert run_cli(argv + ["--output", str(out)]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_million_photons_keep_the_invariants(self, tmp_path):
+        # The written CSV at n = 10^6: swapping the atoms swaps p_eg and p_ge
+        # and leaves the rest alone; snapped negativity lies in [0, 1].
+        rows = []
+        for amplitudes in ("0.6,0.8,0.8j,0.6", "0.8j,0.6,0.6,0.8"):
+            out = tmp_path / "series.csv"
+            argv = ["--n-photon", "1000000", "--initial", "custom", "--amplitudes", amplitudes,
+                    "--delta", "0.3", "--steps", "101", "--output", str(out)]
+            assert run_cli(argv) == 0
+            rows.append(
+                np.array([line.split(",")[:6] for line in out.read_text().splitlines()[1:]],
+                         dtype=float)
+            )
+        first, swapped = rows
+        for table in rows:
+            assert np.max(np.abs(table[:, 1:5].sum(axis=1) - 1.0)) < 1e-10
+            assert np.all((table[:, 5] >= 0.0) & (table[:, 5] <= 1.0))
+        assert np.max(np.abs(first - swapped[:, [0, 1, 3, 2, 4, 5]])) < 1e-9
+
 
 class TestSeriesMode:
     def test_writes_expected_header_and_rows(self, tmp_path):

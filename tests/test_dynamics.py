@@ -111,6 +111,46 @@ class TestFullSpaceOracle:
             assert abs(rho[col, row]) < 1e-12
         assert abs(rho[1, 2]) > 1e-3  # the surviving coherence is genuine
 
+    def test_initial_state_places_atoms_at_the_photon_number(self):
+        oracle = FullSpaceOracle(0.0, 2)
+        psi = oracle.initial_state([0.48, 0.64, 0.36, 0.48])
+        for atomic, amplitude in enumerate((0.48, 0.64, 0.36, 0.48)):
+            assert psi[atomic * oracle.field_dim + 2] == amplitude
+        assert np.count_nonzero(psi) == 4
+        assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-14
+
+    def test_product_convention_matches_amplitude_object(self, rng):
+        # The property test below builds product states with this kron.
+        for _ in range(5):
+            (a1, b1), (a2, b2) = (_product(*rng.uniform(0.0, np.pi, 3)) for _ in range(2))
+            amps = TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2)
+            assert np.max(np.abs(np.kron([b1, a1], [b2, a2]) - amps.atomic_vector())) < 1e-15
+
+    def test_state_preserves_norm(self):
+        oracle = FullSpaceOracle(0.5, 3)
+        for tau in (0.0, 4.0, 37.5):
+            psi = oracle.state(named_atomic_state("gg"), tau)
+            assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < 1e-12
+
+    def test_top_fock_level_stays_empty(self):
+        # A preparation at n photons never reaches the cutoff at n + 6.
+        oracle = FullSpaceOracle(0.3, 1)
+        for start in ("ee", "eg", "gg", "singlet"):
+            for tau in (0.0, 2.2, 19.0):
+                psi = oracle.state(named_atomic_state(start), tau).reshape(4, oracle.field_dim)
+                assert np.max(np.abs(psi[:, -1])) < 1e-12
+
+    def test_restricted_propagator_is_identity_at_zero(self):
+        u = FullSpaceOracle(0.8, 4).restricted_propagator(0.0)
+        assert np.max(np.abs(u - np.eye(4))) < 1e-12
+
+    @pytest.mark.parametrize("delta, n", [(0.0, 0), (0.5, 3), (-1.2, 7)])
+    def test_restricted_propagator_is_unitary(self, delta, n):
+        oracle = FullSpaceOracle(delta, n)
+        for tau in (0.6, 5.0, 41.0):
+            u = oracle.restricted_propagator(tau)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
     def test_singlet_is_stationary(self):
         oracle = FullSpaceOracle(0.7, 2)
         singlet = named_atomic_state("singlet")

@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import twoatomcavity
+from twoatomcavity import dynamics, errors, model, propagator
 from twoatomcavity.errors import DegenerateRoots, DomainError, NotNormalized
 from twoatomcavity.linalg import eig_hermitian, hermiticity_defect
 from twoatomcavity.model import (
@@ -48,8 +50,21 @@ def symmetric_block(delta: float, n: int) -> np.ndarray:
 class TestSystemParams:
     def test_fields_are_delta_and_photon_number(self):
         assert [f.name for f in dataclasses.fields(SystemParams)] == ["delta", "n_photon"]
+
+    @pytest.mark.parametrize("field, value", [("coupling", 2.0), ("fock_cutoff", 9)])
+    def test_rejects_removed_fields(self, field, value):
+        # Time and detuning are in units of the coupling; production never truncates.
         with pytest.raises(TypeError):
-            SystemParams(delta=0.5, n_photon=3, coupling=2.0)  # type: ignore[call-arg]
+            SystemParams(delta=0.5, n_photon=3, **{field: value})
+
+    def test_package_drops_the_full_space_names(self):
+        removed = (
+            "propagate_full", "propagate_full_restricted", "evolve_reduced",
+            "subspace_joint_indices", "joint_state_from_atomic", "initial_state",
+            "CutoffTooSmall", "TruncationLeak", "MIN_CUTOFF_MARGIN",
+        )
+        modules = (twoatomcavity, dynamics, errors, model, propagator)
+        assert [name for name in removed for module in modules if hasattr(module, name)] == []
 
     def test_frozen(self):
         params = SystemParams(delta=0.0, n_photon=0)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from twoatomcavity.model import SystemParams, spectral_quantities
+from twoatomcavity.model import DEFAULT_CUTOFF_MARGIN, SystemParams, spectral_quantities
 from twoatomcavity.propagator import (
     AUDIT_TOL,
     CLOSED_FORM_MODES,
@@ -200,6 +200,12 @@ class TestAudit:
         by_name = {entry["element"]: entry for entry in payload["elements"]}
         assert by_name["u22"]["corrected"]["verdict"] == "mismatch"
         assert by_name["u14"]["strict"]["verdict"] == "match"
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_reports_the_fixed_cutoff(self, n):
+        report = audit_closed_form(SystemParams(delta=0.5, n_photon=n), [0.0, 1.0])
+        assert json.loads(report.to_json())["fock_cutoff"] == n + DEFAULT_CUTOFF_MARGIN
+        assert f"fock_cutoff={n + DEFAULT_CUTOFF_MARGIN}" in report.to_text()
 
     def test_json_deterministic(self):
         params = SystemParams(delta=0.5, n_photon=0)
