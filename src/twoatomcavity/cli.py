@@ -392,16 +392,97 @@ def _format_float(value: float) -> str:
 #: One series row: six floats as ``FLOAT_FORMAT`` writes them, then the label.
 _SERIES_ROW_FORMAT = ",".join(["%.11e"] * 6 + ["%s"])
 
+#: Largest decimal exponent written from digit arrays; it keeps the exponent
+#: at two digits and the power of ten below a normal float's range.
+_DIGIT_EXPONENT_LIMIT = 99
+
+#: ``10.0**k`` correctly rounded, for ``k = e - 11`` and ``|e| <= _DIGIT_EXPONENT_LIMIT``.
+_DIGIT_POWERS = np.array(
+    [float(f"1e{e - 11}") for e in range(-_DIGIT_EXPONENT_LIMIT, _DIGIT_EXPONENT_LIMIT + 1)]
+)
+
+#: Fractional parts of the scaled mantissa this close to one half are left to
+#: Python: the scaling rounds it by at most about 2.2e-4.
+_DIGIT_TIE_WINDOW = 1e-3
+
+#: Each four-digit group 0000..9999 as ASCII bytes, built from its digits.
+_DIGIT_GROUPS = (
+    (np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+     + ord("0"))
+    .astype(np.uint8)
+    .view("S4")[:, 0]
+)
+
+#: A 17-character field ``d.ddddddddddde+XX`` and the comma after it.
+_FIELD_TEMPLATE = np.frombuffer(b"0.00000000000e+00,", dtype=np.uint8)
+_ROW_WIDTH = 6 * len(_FIELD_TEMPLATE)
+
+
+def _field_digits(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mantissa integers, decimal exponents and a mask of the fields they decide.
+
+    A decided field is zero, or positive and finite with a two-digit
+    exponent: ``e = floor(log10 x)`` and ``D = rint(x / 10^(e - 11))``, with
+    ``10^12`` carried into ``e + 1``.  ``D`` is what ``%.11e`` writes unless
+    the scaled mantissa lies within ``_DIGIT_TIE_WINDOW`` of a rounding tie
+    or falls short of twelve integer digits (an exponent one too high, from
+    ``log10`` or from the clip), or ``D`` exceeds twelve digits (an exponent
+    one too low); such fields are undecided.  A mantissa short of ``10^11``
+    by less than the window rounds to ``10^11`` under either exponent.
+    """
+    positive = (table > 0.0) & (table < np.inf)
+    # Zeros and undecided fields are scaled as 1.0, which keeps every step
+    # finite; a zero's exponent is then 0, as written.
+    magnitude = np.where(positive, table, 1.0)
+    limit = _DIGIT_EXPONENT_LIMIT
+    exponent = np.clip(np.floor(np.log10(magnitude)).astype(np.int64), -limit, limit)
+    scaled = magnitude / _DIGIT_POWERS[exponent + limit]
+    mantissa = np.rint(scaled)
+    carry = mantissa == 1e12
+    mantissa[carry] = 1e11
+    exponent += carry
+    positive &= (
+        (np.abs(scaled - np.floor(scaled) - 0.5) > _DIGIT_TIE_WINDOW)
+        & (scaled >= 1e11 - _DIGIT_TIE_WINDOW)
+        & (mantissa < 1e12)
+        & (np.abs(exponent) <= limit)
+    )
+    mantissa = np.where(positive, mantissa, 0.0).astype(np.int64)
+    return mantissa, exponent, positive | (table == 0.0)
+
 
 def _format_series_rows(columns: SeriesColumns) -> list[str]:
-    """CSV rows of a classified series, each field as :func:`_format_float` writes it."""
+    """CSV rows of a classified series, each field as :func:`_format_float` writes it.
+
+    Fields are written from digit arrays (:func:`_field_digits`); a row with
+    a field those do not decide (a near-tie, a negative or non-finite value,
+    an exponent of three digits) is formatted by ``%.11e`` instead.
+    """
     table = np.column_stack((columns.tau, columns.populations, columns.negativity))
     # abs(-0.0) is below the tolerance too, so a negative zero prints as 0.
     table = np.where(np.abs(table) < FORMAT_SNAP_TOL, 0.0, table)
-    return [
-        _SERIES_ROW_FORMAT % (*values, CLASS_LABELS[label])
-        for values, label in zip(table.tolist(), columns.labels.tolist())
+    mantissa, exponent, decided = _field_digits(table)
+    # The first group of a twelve-digit mantissa is its leading digit and
+    # the first three after the point.
+    groups = np.stack((mantissa // 10**8, mantissa // 10**4 % 10**4, mantissa % 10**4), axis=-1)
+    digits = _DIGIT_GROUPS.take(groups).view(np.uint8).reshape(len(table), 6, 12)
+    chars = np.empty((len(table), 6, len(_FIELD_TEMPLATE)), dtype=np.uint8)
+    chars[...] = _FIELD_TEMPLATE
+    chars[:, :, 0] = digits[:, :, 0]
+    chars[:, :, 2:13] = digits[:, :, 1:]
+    chars[:, :, 14] = np.where(exponent < 0, ord("-"), ord("+"))
+    chars[:, :, 15:17] = _DIGIT_GROUPS.take(np.abs(exponent) % 100).view(np.uint8).reshape(
+        len(table), 6, 4
+    )[:, :, 2:]
+    text = chars.tobytes().decode("ascii")
+    names = CLASS_LABELS
+    rows = [
+        text[start : start + _ROW_WIDTH] + names[label]
+        for start, label in zip(range(0, len(text), _ROW_WIDTH), columns.labels.tolist())
     ]
+    for index in np.flatnonzero(~np.all(decided, axis=1)).tolist():
+        rows[index] = _SERIES_ROW_FORMAT % (*table[index].tolist(), names[columns.labels[index]])
+    return rows
 
 
 def run_series(config: RunConfig) -> int:

@@ -180,7 +180,7 @@ def series_columns(
         populations_column[rows] = _populations_stack(rho)
         negativity_column[rows] = degree
         if label_column is not None:
-            label_column[rows], _, _ = entanglement._classify_stack(
+            label_column[rows] = entanglement._classify_stack(
                 rho, degree, **classifier_kwargs
             )
     return SeriesColumns(taus, populations_column, negativity_column, label_column)

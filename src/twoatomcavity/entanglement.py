@@ -9,10 +9,16 @@ all of its thresholds are exposed as keyword arguments.
 
 Both measures are computed over stacks of density matrices by private
 kernels (``_negativity_stack``, ``_classify_stack``): the time series
-computes each sample's degree once and hands it to the classifier, which
-diagonalizes only the states that pass the separability gate and fits every
-template to all of them at once.  :func:`negativity` and :func:`classify`
-are stack-of-one wrappers over the same kernels.
+computes each sample's degree once and hands it to the classifier.  Of the
+states past the separability gate, the classifier first rules out, without
+an eigendecomposition, every state that provably gets no template label
+(``_may_match``): by the purity bound, the largest eigenvalue is at most the
+Frobenius norm; by the span bound, each template fidelity is at most
+``tr(P rho) / max(purity_threshold, 1/4)`` for the template's projector
+``P``.  It diagonalizes only the rest and fits every template to all of them
+at once (``_fit_stack``).  :func:`negativity` is a stack-of-one wrapper over
+its kernel; :func:`classify` diagonalizes its one state past the gate
+without the bounds and reports the fidelity and coefficients of the fit.
 """
 from __future__ import annotations
 
@@ -218,37 +224,69 @@ def _constraint_satisfied(
     return np.ones(len(coefficients), dtype=bool)
 
 
-def _classify_stack(
-    rho: np.ndarray,
-    degree: np.ndarray,
-    *,
-    separable_threshold: float = SEPARABLE_THRESHOLD,
-    purity_threshold: float = PURITY_THRESHOLD,
-    residual_threshold: float = RESIDUAL_THRESHOLD,
-    coefficient_floor: float = COEFFICIENT_FLOOR,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classify a stack of states whose entanglement degrees are known.
+#: Slack of the certificates of ``_may_match`` over round-off in the
+#: eigendecomposition (about 1e-15 on unit-trace states).
+_CERTIFICATE_MARGIN = 1e-9
 
-    Follows the decision order of :func:`classify`.  Only the states that
-    pass the separability gate are diagonalized, and every template is fitted
-    to all of their dominant eigenvectors at once.
+#: Columns: each template's real projector ``B^T B`` flattened, so that
+#: ``Re(rho).reshape(16) @ _SPAN_PROJECTORS`` is ``tr(P rho)`` per template.
+_SPAN_PROJECTORS = np.stack(
+    [(template.basis.T @ template.basis).ravel() for template in _TEMPLATES], axis=1
+)
+
+
+def _may_match(rho: np.ndarray, purity_threshold: float, residual_threshold: float) -> np.ndarray:
+    """Mask ``(batch,)`` of the states some template could still claim.
+
+    A false entry is a certificate, without an eigendecomposition, that the
+    state ends ``mixed_unclassified``; it holds for positive semidefinite
+    matrices of unit trace:
+
+    - *purity*: the largest eigenvalue is at most the Frobenius norm, so a
+      norm below ``purity_threshold`` fails the purity gate;
+    - *span*: each template fidelity of the dominant eigenvector ``v`` is at
+      most ``<v|P|v> <= tr(P rho) / lambda_max`` for the template's
+      projector ``P``, and a state past the purity gate has
+      ``lambda_max >= max(purity_threshold, 1/4)``; a match needs a fidelity
+      above ``1 - residual_threshold^2``, so no template can claim a state
+      whose every ``tr(P rho)`` lies below ``max(purity_threshold, 1/4)``
+      times that.
+
+    Each bound gives up ``_CERTIFICATE_MARGIN``, and each comparison is
+    negated, so a NaN threshold certifies nothing.
+    """
+    purity, residual = float(purity_threshold), float(residual_threshold)
+    flat = rho.view(np.float64).reshape(len(rho), 32)
+    norm = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    span = np.max(flat[:, ::2] @ _SPAN_PROJECTORS, axis=1)
+    reach = max(purity, 0.25) * (1.0 - residual * residual)
+    return ~(norm < purity - _CERTIFICATE_MARGIN) & ~(span < reach - _CERTIFICATE_MARGIN)
+
+
+def _fit_stack(
+    rho: np.ndarray,
+    purity_threshold: float,
+    residual_threshold: float,
+    coefficient_floor: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps 2-4 of :func:`classify` for states past the separability gate.
+
+    Diagonalizes every state and fits every template to all of their
+    dominant eigenvectors at once.
 
     Returns:
         (indices into ``CLASS_LABELS`` ``(batch,)``, fidelities ``(batch,)``,
         coefficients of the matched template ``(batch, _MAX_COEFFICIENTS)``,
-        zero-padded and zero where no template matched).
+        zero-padded; a state that fails the purity gate has fidelity 0, and
+        one that no template claims has its best fidelity and coefficients 0).
     """
     count = len(rho)
-    labels = np.where(degree < separable_threshold, _SEPARABLE, _UNCLASSIFIED)
+    labels = np.full(count, _UNCLASSIFIED)
     fidelities = np.zeros(count)
     coefficients = np.zeros((count, _MAX_COEFFICIENTS))
-    gated = np.flatnonzero(labels != _SEPARABLE)
-    if gated.size == 0:
-        return labels, fidelities, coefficients
-    eigenvalues, eigenvectors = linalg._eigh_stack(rho[gated])
-    pure = ~(eigenvalues[:, -1] < purity_threshold)
-    fitted = gated[pure]
-    states = eigenvectors[pure, :, -1]
+    eigenvalues, eigenvectors = linalg._eigh_stack(rho)
+    fitted = np.flatnonzero(~(eigenvalues[:, -1] < purity_threshold))
+    states = eigenvectors[fitted, :, -1]
     open_ = np.ones(len(fitted), dtype=bool)
     best = np.zeros(len(fitted))
     for template in _TEMPLATES:
@@ -265,6 +303,32 @@ def _classify_stack(
         open_ &= ~match
     fidelities[fitted[open_]] = best[open_]
     return labels, fidelities, coefficients
+
+
+def _classify_stack(
+    rho: np.ndarray,
+    degree: np.ndarray,
+    *,
+    separable_threshold: float = SEPARABLE_THRESHOLD,
+    purity_threshold: float = PURITY_THRESHOLD,
+    residual_threshold: float = RESIDUAL_THRESHOLD,
+    coefficient_floor: float = COEFFICIENT_FLOOR,
+) -> np.ndarray:
+    """Labels ``(batch,)``, indices into ``CLASS_LABELS``, of a stack of states.
+
+    Follows the decision order of :func:`classify` for positive semidefinite
+    states of unit trace whose entanglement degrees are known.  Of the states
+    past the separability gate, only those that :func:`_may_match` cannot
+    rule out are diagonalized and fitted.
+    """
+    labels = np.where(degree < separable_threshold, _SEPARABLE, _UNCLASSIFIED)
+    gated = np.flatnonzero(labels != _SEPARABLE)
+    fitted = gated[_may_match(rho[gated], purity_threshold, residual_threshold)]
+    if fitted.size:
+        labels[fitted] = _fit_stack(
+            rho[fitted], purity_threshold, residual_threshold, coefficient_floor
+        )[0]
+    return labels
 
 
 def classify(
@@ -295,13 +359,10 @@ def classify(
     """
     stack = _as_density_stack(rho)
     degree, _ = _negativity_stack(stack)
-    labels, fidelities, coefficients = _classify_stack(
-        stack,
-        degree,
-        separable_threshold=separable_threshold,
-        purity_threshold=purity_threshold,
-        residual_threshold=residual_threshold,
-        coefficient_floor=coefficient_floor,
+    if degree[0] < separable_threshold:
+        return ClassMatch(label="separable", fidelity=0.0, template_params={})
+    labels, fidelities, coefficients = _fit_stack(
+        stack, purity_threshold, residual_threshold, coefficient_floor
     )
     label = CLASS_LABELS[labels[0]]
     template = _TEMPLATE_BY_LABEL.get(label)

@@ -31,5 +31,5 @@ class DegenerateRoots(TwoAtomCavityError):
 
 
 class DomainError(TwoAtomCavityError):
-    """An inverse-cosine argument lies outside [-1, 1] beyond round-off."""
+    """An inverse-cosine argument overflows or lies outside [-1, 1] beyond round-off."""
 

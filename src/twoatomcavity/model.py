@@ -174,15 +174,21 @@ def spectral_quantities(params: SystemParams) -> SpectralQuantities:
     obtained here in trigonometric form.
 
     Raises:
-        DomainError: if the inverse-cosine argument leaves [-1, 1] beyond
+        DomainError: if the inverse-cosine argument overflows (a detuning
+            of magnitude above about 3.3e102) or leaves [-1, 1] beyond
             round-off (does not occur for real parameters; kept as a guard).
         DegenerateRoots: if two roots are closer than ``DEGENERACY_TOL``.
     """
     gamma = float(np.sqrt(params.n_photon + 1.0))
     beta = float(np.sqrt(params.n_photon + 2.0))
     delta = float(params.delta)
-    kappa = float(np.sqrt(3.0 * (delta**2 + 2.0 * (beta**2 + gamma**2))))
-    argument = _clamped_arccos_argument(-27.0 * delta / kappa**3)
+    try:
+        kappa = float(np.sqrt(3.0 * (delta**2 + 2.0 * (beta**2 + gamma**2))))
+        argument = _clamped_arccos_argument(-27.0 * delta / kappa**3)
+    except OverflowError as exc:
+        raise DomainError(
+            f"inverse-cosine argument overflows at detuning {delta!r}"
+        ) from exc
     theta1 = np.arccos(argument) / 3.0
     theta = np.array([theta1, theta1 + 2.0 * np.pi / 3.0, theta1 + 4.0 * np.pi / 3.0])
     mu = (2.0 / 3.0) * kappa * np.cos(theta)

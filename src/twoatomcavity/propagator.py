@@ -108,7 +108,9 @@ def _closed_form_matrix(
     u14 = 2.0 * beta * gamma * np.sum(weights * phases)
     numerator = delta * (beta**2 - gamma**2)
     constant = 0.0 if numerator == 0.0 else numerator / float(np.prod(mu))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A zero root divides by zero, and at detunings near 1e102 the products
+    # overflow; either leaves the element non-finite, which the audit reports.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u22 = (
             np.sum(
                 (weights / mu)

@@ -16,7 +16,10 @@ routes is meaningful:
 - the three-rung symmetric excitation ladder with a closed-form X-state
   negativity (vs. the full space and a 4x4 partial-transpose spectrum);
 - record-loop negativity statistics, one Python loop over sampled records
-  (vs. the package's array statistics, which must match them bit for bit).
+  (vs. the package's array statistics, which must match them bit for bit);
+- the classifier's per-matrix decision with its templates declared again,
+  diagonalizing every state past the separability gate (vs. the package's
+  stacked classifier, which rules states out before diagonalizing them).
 
 Nothing here imports the package under test.
 """
@@ -413,3 +416,75 @@ def record_average_negativity(records) -> float:
     integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
     window = records[-1].tau - records[0].tau
     return integral / window
+
+
+def _classifier_templates() -> tuple:
+    sq2 = np.sqrt(2.0)
+    sq3 = np.sqrt(3.0)
+    symmetric = np.array([0.0, 1.0, 1.0, 0.0]) / sq2
+    even = np.array([1.0, 0.0, 0.0, 1.0]) / sq2
+    return (
+        ("psi1_bell_like", ("mu",), np.array([symmetric]), np.array([sq2]), "none"),
+        ("psi2", ("mu1",), np.array([np.array([1.0, 1.0, 1.0, 0.0]) / sq3]),
+         np.array([sq3]), "none"),
+        ("psi3_werner_like", ("eta", "zeta"), np.array([even, [0.0, 1.0, 0.0, 0.0]]),
+         np.array([sq2, 1.0]), "all"),
+        ("psi4", ("mu2", "nu"), np.array([even, symmetric]), np.array([sq2, sq2]), "all"),
+        ("psi5", ("chi1", "chi2", "chi3"),
+         np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], symmetric]),
+         np.array([1.0, 1.0, sq2]), "any_first_two"),
+    )
+
+
+#: The classifier's templates: label, coefficient names, orthonormal real
+#: basis rows, scale from basis to named coefficients, and which coefficients
+#: must clear the floor.
+CLASSIFIER_TEMPLATES = _classifier_templates()
+
+
+def record_classify(
+    rho: np.ndarray,
+    separable_threshold: float = 0.01,
+    purity_threshold: float = 0.9,
+    residual_threshold: float = 0.05,
+    coefficient_floor: float = 0.05,
+) -> tuple[str, float, dict[str, float]]:
+    """The classifier's decision for one matrix: label, fidelity, coefficients.
+
+    Every state past the separability gate is diagonalized and every template
+    tried in order, with no shortcut.  A state too mixed for the purity gate
+    has fidelity 0; one that no template claims has its best fidelity.  Each
+    step repeats the package's arithmetic on arrays of the same shapes, so
+    the results agree bit for bit.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    pt_eigenvalues, _ = np.linalg.eigh(brute_partial_transpose_second(rho))
+    if np.sum(np.abs(pt_eigenvalues)) - 1.0 < separable_threshold:
+        return "separable", 0.0, {}
+    eigenvalues, eigenvectors = np.linalg.eigh(rho)
+    if eigenvalues[-1] < purity_threshold:
+        return "mixed_unclassified", 0.0, {}
+    state = eigenvectors[None, :, -1].copy()  # a contiguous row, as the package fits
+    best = 0.0
+    for label, names, basis, scale, constraint in CLASSIFIER_TEMPLATES:
+        projections = state @ basis.T
+        power = np.sum(np.abs(projections) ** 2, axis=1)
+        phase_sum = np.sum(projections**2, axis=1)
+        fidelity = float(np.clip(0.5 * (power + np.abs(phase_sum)), 0.0, 1.0)[0])
+        phase = np.zeros(1) if abs(phase_sum[0]) < 1e-30 else -0.5 * np.angle(phase_sum)
+        # NumPy's complex product can round differently under other shapes.
+        coefficients = np.real(np.exp(1j * phase)[:, None] * projections)[0]
+        if coefficients[np.argmax(np.abs(coefficients))] < 0.0:
+            coefficients = -coefficients
+        coefficients = coefficients / scale
+        magnitudes = np.abs(coefficients)
+        if constraint == "all":
+            used = bool(np.all(magnitudes >= coefficient_floor))
+        elif constraint == "any_first_two":
+            used = bool(np.max(magnitudes[:2]) >= coefficient_floor)
+        else:
+            used = True
+        if np.sqrt(max(0.0, 1.0 - fidelity)) < residual_threshold and used:
+            return label, fidelity, dict(zip(names, coefficients.tolist()))
+        best = float(np.fmax(best, fidelity))
+    return "mixed_unclassified", best, {}

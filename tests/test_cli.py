@@ -2,21 +2,37 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoatomcavity import cli, entanglement
-from twoatomcavity.dynamics import SeriesColumns
+from twoatomcavity.dynamics import SeriesColumns, series_columns
 from twoatomcavity.entanglement import CLASS_LABELS
 from twoatomcavity.errors import DegenerateRoots
+from twoatomcavity.model import SystemParams, named_atomic_state
 
 from oracles import exact_excited_pair_series
 
 
 def run_cli(args: list[str]) -> int:
     return cli.main(args)
+
+
+def run_module_strict(args: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter whose warnings are errors."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "twoatomcavity.cli", *args],
+        capture_output=True, text=True, env=env, check=False,
+    )
 
 
 class TestArgumentHandling:
@@ -254,6 +270,23 @@ class TestSeriesMode:
                 unit = mpmath.mpf(10) ** (int(printed.split("e")[1]) - 11)
                 assert abs(mpmath.mpf(printed) - value) <= unit, (line, printed, value)
 
+    def test_huge_window_writes_without_warnings(self, tmp_path):
+        # Three-digit exponents are formatted by Python; no NumPy warning
+        # escapes the digit arrays.
+        out = tmp_path / "series.csv"
+        done = run_module_strict(["--initial", "eg", "--tau-max", "1e300", "--steps", "5",
+                                  "--output", str(out)])
+        assert (done.returncode, done.stderr) == (0, "")
+        columns = series_columns(SystemParams(delta=0.0, n_photon=0), named_atomic_state("eg"),
+                                 1e300, 5)
+        table = np.column_stack((columns.tau, columns.populations, columns.negativity))
+        expected = [cli.SERIES_HEADER] + [
+            ",".join([cli._format_float(value) for value in row] + [CLASS_LABELS[label]])
+            for row, label in zip(table.tolist(), columns.labels.tolist())
+        ]
+        assert out.read_text().splitlines() == expected
+        assert expected[-1].startswith("1.00000000000e+300,")
+
 
 class TestSweepMode:
     def test_delta_sweep_columns(self, tmp_path):
@@ -363,6 +396,27 @@ class TestAuditMode:
         err = capsys.readouterr().err
         assert "computation error" in err
         assert "spectral propagator" in err
+
+    @pytest.mark.parametrize("delta", ["4e102", "-2e154"])
+    def test_overflowing_detuning_is_a_computation_error(self, delta, tmp_path):
+        # The cube of the root scale overflows above |delta| ~ 3.3e102 (the
+        # square of delta above ~1.3e154): one error line, no traceback.
+        done = run_module_strict(["--mode", "audit", f"--delta={delta}",
+                                  "--output", str(tmp_path / "audit.json")])
+        assert done.returncode == 2
+        assert done.stderr.startswith("computation error: ") and done.stderr.count("\n") == 1
+
+    def test_overflowing_elements_are_reported_without_warnings(self, tmp_path, capsys):
+        # Just below that edge some closed-form products overflow; the audit
+        # reports the elements and warns about nothing.
+        strict = tmp_path / "strict.json"
+        done = run_module_strict(["--mode", "audit", "--delta", "3e102",
+                                  "--output", str(strict)])
+        assert (done.returncode, done.stderr) == (0, "")
+        out = tmp_path / "audit.json"
+        assert run_cli(["--mode", "audit", "--delta", "3e102", "--output", str(out)]) == 0
+        assert done.stdout == capsys.readouterr().out
+        assert strict.read_bytes() == out.read_bytes()
 
 
 class TestConfigLayers:
@@ -489,21 +543,79 @@ class TestFloatFormatting:
                   1e12, -1e12]
         # Rotate the values through the six float columns of the rows.
         table = np.array([np.roll(values, -row)[:6] for row in range(len(values))])
-        columns = SeriesColumns(
-            tau=table[:, 0], populations=table[:, 1:5], negativity=table[:, 5],
-            labels=np.full(len(values), label),
-        )
-        rows = cli._format_series_rows(columns)
+        rows = assert_rows_format_like_format_float(table.ravel(), label)
         assert len(rows) == len(values)
-        for row, fields in zip(table.tolist(), rows):
-            expected = [cli._format_float(value) for value in row] + [CLASS_LABELS[label]]
-            assert fields.split(",") == expected
         assert rows[0].split(",")[:6] == ["0.00000000000e+00"] * 3 + [
             "1.00000000000e-14", "-1.00000000000e-14", "0.00000000000e+00"]
         # 0.9999999999995 is stored just below its decimal spelling, so only
         # 0.9999999999996 rounds up at the 12th digit.
         assert rows[6].split(",")[:4] == ["9.99999999999e-01", "1.00000000000e+00",
                                           "1.00000000000e+12", "-1.00000000000e+12"]
+
+    def test_series_rows_format_edge_values_like_format_float(self):
+        rng = np.random.default_rng(99)
+        # 12-digit mantissas plus one half: decimal rounding ties, written
+        # as products and quotients, and their neighbouring doubles.
+        mantissas = [*rng.integers(10**11, 10**12, 40).tolist(), 10**11, 10**12 - 1]
+        ties = np.array([(k + 0.5) * 10.0**j for k in mantissas for j in range(-30, 12, 3)]
+                        + [(k + 0.5) / 10.0**j for k in mantissas for j in range(1, 31, 3)]
+                        + [float(f"{k}5e{j}") for k in mantissas for j in range(-30, 12, 3)])
+        near_ties = [ties, *np.nextafter(ties, [[0.0], [np.inf]])]
+        # Powers of ten, and values that round up to one, at every exponent
+        # the digit arrays write and just past them.
+        powers = np.array([10.0**j for j in range(-105, 106)] + [1e-300, 1e300]
+                          + [float(f"9.9999999999{d}e{j}") for d in (94, 95, 96)
+                             for j in range(-105, 106)])
+        tol = cli.FORMAT_SNAP_TOL
+        values = np.concatenate([
+            *near_ties, powers, *np.nextafter(powers, [[0.0], [np.inf]]),
+            [tol, -tol, *np.nextafter(tol, [0.0, 1.0]), *np.nextafter(-tol, [0.0, -1.0])],
+            [5e-324, 2.5e-310, -1e-320, 9.9999999999995e5, 9.9999999999995e99,
+             9.99999999999949e99, -0.5, -1e300, np.inf, -np.inf, np.nan],
+        ])
+        assert_rows_format_like_format_float(values, alone=True)
+        assert_rows_format_like_format_float(values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(),
+                st.floats(0.0, 1.0),
+                st.builds(lambda k, j: (k + 0.5) * 10.0**j,
+                          st.integers(10**11, 10**12 - 1), st.integers(-40, 40)),
+            ),
+            min_size=1, max_size=120,
+        ),
+        alone=st.booleans(),
+    )
+    def test_series_rows_format_any_double_like_format_float(self, values, alone):
+        assert_rows_format_like_format_float(values, alone=alone)
+
+
+def assert_rows_format_like_format_float(values, label: int = 0, alone: bool = False) -> list[str]:
+    """Format ``values`` as series rows; each field must be :func:`_format_float`'s.
+
+    With ``alone``, each value gets a row of its own whose other fields are
+    plain, so that no other field of the row sends the row to Python.
+    """
+    values = np.asarray(values, dtype=float)
+    if alone:
+        table = np.tile([0.5, 0.25, 0.0, 1.0, 3.0, 0.125], (len(values), 1))
+        table[np.arange(len(values)), np.arange(len(values)) % 6] = values
+    else:
+        table = np.resize(values, -(-len(values) // 6) * 6).reshape(-1, 6)
+    columns = SeriesColumns(
+        tau=table[:, 0], populations=table[:, 1:5], negativity=table[:, 5],
+        labels=np.full(len(table), label),
+    )
+    with np.errstate(all="raise"):
+        rows = cli._format_series_rows(columns)
+    assert len(rows) == len(table)
+    for row, fields in zip(table.tolist(), rows):
+        expected = [cli._format_float(value) for value in row] + [CLASS_LABELS[label]]
+        assert fields.split(",") == expected
+    return rows
 
 
 class TestDefaults:

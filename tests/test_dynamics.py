@@ -400,6 +400,38 @@ def test_series_invariants_hold_at_any_photon_number(delta, n_photon, amplitudes
     assert np.max(np.abs(singlet.negativity - 1.0)) < 1e-10
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    n_photon=st.integers(0, 10**6),
+    amplitudes=_product_amplitudes(),
+    tau_max=st.floats(0.1, 1e6),
+    steps=st.integers(2, 300),
+)
+def test_classified_states_are_density_matrices(delta, n_photon, amplitudes, tau_max, steps):
+    """Every state handed to the classifier is Hermitian, PSD and of unit trace.
+
+    The classifier's span certificate holds only for such states.
+    """
+    captured = []
+    classify_stack = entanglement._classify_stack
+
+    def capture(rho, degree, **kwargs):
+        captured.append(rho.copy())
+        return classify_stack(rho, degree, **kwargs)
+
+    a1, b1, a2, b2 = amplitudes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entanglement, "_classify_stack", capture)
+        series_columns(SystemParams(delta=delta, n_photon=n_photon),
+                       TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2), tau_max, steps)
+    rho = np.concatenate(captured)
+    assert len(rho) == steps
+    assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+    assert np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)) <= 1e-10
+
+
 class TestSeriesColumns:
     @pytest.mark.parametrize("initial", ["ee", "eg", "singlet"])
     def test_records_are_a_view_of_the_columns(self, initial):

@@ -1,11 +1,18 @@
 """Entanglement measure and classifier tests."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from twoatomcavity import entanglement
 from twoatomcavity.entanglement import (
     CLASS_LABELS,
+    PURITY_THRESHOLD,
+    RESIDUAL_THRESHOLD,
     ClassMatch,
     NegativityResult,
     classify,
@@ -15,10 +22,12 @@ from twoatomcavity.errors import NotNormalized
 from twoatomcavity.model import named_atomic_state
 
 from oracles import (
+    CLASSIFIER_TEMPLATES,
     brute_negativity,
     random_local_unitary,
     random_product_atomic_state,
     random_state,
+    record_classify,
     werner_pt_eigenvalues,
     werner_state,
 )
@@ -190,3 +199,158 @@ class TestClassifyTemplates:
 
     def test_returns_named_match(self):
         assert isinstance(classify(np.eye(4) / 4.0), ClassMatch)
+
+
+def stack_labels(states, **thresholds) -> list[str]:
+    """Labels of ``_classify_stack`` for a list of matrices, as names."""
+    stack = np.array(states, dtype=np.complex128)
+    degree, _ = entanglement._negativity_stack(stack)
+    return [CLASS_LABELS[index] for index in entanglement._classify_stack(
+        stack, degree, **thresholds).tolist()]
+
+
+class TestCertificates:
+    """States that ``_classify_stack`` rules out without an eigendecomposition."""
+
+    def test_rules_out_too_mixed_and_template_free_states(self):
+        singlet = pure_rho(named_atomic_state("singlet"))
+        states = np.array([werner_state(0.5), singlet, 0.95 * singlet + 0.05 * np.eye(4) / 4])
+        may_match = entanglement._may_match(states, PURITY_THRESHOLD, RESIDUAL_THRESHOLD)
+        assert may_match.tolist() == [False, False, False]
+        assert stack_labels(states) == ["mixed_unclassified"] * 3
+
+    def test_keeps_every_template_state(self):
+        states = [pure_rho(normalized(basis.T @ np.ones(len(names))))
+                  for _, names, basis, _, _ in CLASSIFIER_TEMPLATES]
+        may_match = entanglement._may_match(
+            np.array(states, dtype=np.complex128), PURITY_THRESHOLD, RESIDUAL_THRESHOLD
+        )
+        assert may_match.all()
+
+    def test_mixed_template_state_keeps_its_label(self):
+        # tr(P rho) = 0.9475 lies below 1 - residual^2 = 0.9975 but above
+        # 0.9 * 0.9975: only the dominant-eigenvalue factor of the span bound
+        # keeps the state, whose dominant eigenvector is the template itself.
+        rho = 0.93 * pure_rho(normalized([0.0, 1.0, 1.0, 0.0])) + 0.07 * np.eye(4) / 4.0
+        assert classify(rho).label == "psi1_bell_like"
+        assert stack_labels([rho]) == ["psi1_bell_like"]
+
+    def test_nan_thresholds_rule_out_nothing_they_bound(self):
+        werner = werner_state(0.5)  # ruled out by its norm
+        singlet = pure_rho(named_atomic_state("singlet"))  # by its template overlaps
+        states = np.array([werner, singlet], dtype=np.complex128)
+        assert entanglement._may_match(states, math.nan, RESIDUAL_THRESHOLD).tolist() == [
+            True, True]
+        assert entanglement._may_match(states, PURITY_THRESHOLD, math.nan).tolist() == [
+            False, True]
+
+
+def _span(rho: np.ndarray) -> float:
+    """Largest ``tr(P rho)`` over the template projectors."""
+    return max(float(np.real(np.trace(basis.T @ basis @ rho)))
+               for _, _, basis, _, _ in CLASSIFIER_TEMPLATES)
+
+
+_SINGLET = pure_rho(named_atomic_state("singlet"))
+
+_THRESHOLD_OVERRIDES = [0.0, 1.5, -0.5, math.inf, -math.inf, math.nan]
+
+
+def _threshold(default: float):
+    return st.one_of(
+        st.just(default), st.sampled_from(_THRESHOLD_OVERRIDES), st.floats(0.0, 1.0)
+    )
+
+
+@st.composite
+def _unit_vector(draw):
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    vector = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    norm = np.linalg.norm(vector)
+    return normalized([1.0, 0.0, 0.0, 0.0]) if norm < 1e-3 else vector / norm
+
+
+@st.composite
+def _mixture(draw):
+    """A mixture of one to four random pure states."""
+    vectors = draw(st.lists(_unit_vector(), min_size=1, max_size=4))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(vectors),
+                                     max_size=len(vectors))))
+    weights /= weights.sum()
+    return sum(w * pure_rho(v) for w, v in zip(weights, vectors))
+
+
+@st.composite
+def _template_state(draw):
+    """A real combination of one template's basis, slightly perturbed."""
+    _, names, basis, _, _ = draw(st.sampled_from(CLASSIFIER_TEMPLATES))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(names), max_size=len(names)))
+    vector = basis.T @ np.array(weights) + 1e-3 * draw(_unit_vector())
+    norm = np.linalg.norm(vector)
+    return normalized(basis[0]) if norm < 1e-3 else vector / norm
+
+
+@st.composite
+def _classifier_case(draw):
+    """A matrix of unit trace and the thresholds to classify it with."""
+    thresholds = {
+        "separable_threshold": draw(_threshold(entanglement.SEPARABLE_THRESHOLD)),
+        "purity_threshold": draw(_threshold(PURITY_THRESHOLD)),
+        "residual_threshold": draw(_threshold(RESIDUAL_THRESHOLD)),
+        "coefficient_floor": draw(_threshold(entanglement.COEFFICIENT_FLOOR)),
+    }
+    purity, residual = thresholds["purity_threshold"], thresholds["residual_threshold"]
+    kind = draw(st.sampled_from(
+        ["pure", "mixture", "singlet", "template", "purity_edge", "span_edge"]))
+    weight = draw(st.floats(0.8, 1.0))
+    offset = draw(st.sampled_from([-1e-8, -1e-12, 0.0, 1e-12, 1e-8]))
+    if kind == "pure":
+        return pure_rho(draw(_unit_vector())), thresholds
+    if kind == "mixture":
+        return draw(_mixture()), thresholds
+    if kind == "singlet":
+        return weight * _SINGLET + (1.0 - weight) * draw(_mixture()), thresholds
+    template = weight * pure_rho(draw(_template_state())) + (1.0 - weight) * draw(_mixture())
+    if kind == "template":
+        return template, thresholds
+    if kind == "purity_edge":
+        # Dominant eigenvalue at the purity threshold plus the offset.
+        level = (purity if 0.3 <= purity <= 1.0 else PURITY_THRESHOLD) + offset
+        level = min(level, 1.0)
+        vector = draw(st.one_of(_template_state(), _unit_vector()))
+        rest = (1.0 - level) / 3.0
+        return level * pure_rho(vector) + rest * (np.eye(4) - pure_rho(vector)), thresholds
+    # Mixed with the singlet until the largest template overlap reaches the
+    # span bound plus the offset.
+    reach = max(purity if math.isfinite(purity) else PURITY_THRESHOLD, 0.25) * (
+        1.0 - (residual if math.isfinite(residual) else RESIDUAL_THRESHOLD) ** 2)
+    target = reach + offset
+    if not _span(_SINGLET) < target < _span(template):
+        return template, thresholds
+    low, high = 0.0, 1.0
+    for _ in range(80):
+        middle = 0.5 * (low + high)
+        if _span((1.0 - middle) * template + middle * _SINGLET) > target:
+            low = middle
+        else:
+            high = middle
+    return (1.0 - low) * template + low * _SINGLET, thresholds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cases=st.lists(_classifier_case(), min_size=1, max_size=6))
+@example(cases=[(werner_state(0.95), {}), (pure_rho(normalized([0.6, 0.6j, 0.0, 0.5])), {})])
+def test_classifier_matches_the_per_matrix_oracle(cases):
+    # The stacked labels (certificates, then a fit of the rest) and every
+    # field of classify() equal the decision that diagonalizes each state.
+    for rho, thresholds in cases:
+        expected = record_classify(rho, **thresholds)
+        match = classify(rho, **thresholds)
+        assert (match.label, match.fidelity, match.template_params) == expected
+    by_thresholds: dict[tuple, list] = {}
+    for rho, thresholds in cases:
+        by_thresholds.setdefault(tuple(sorted(thresholds.items())), []).append(rho)
+    for key, states in by_thresholds.items():
+        thresholds = dict(key)
+        assert stack_labels(states, **thresholds) == [
+            record_classify(rho, **thresholds)[0] for rho in states]

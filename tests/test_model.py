@@ -204,6 +204,15 @@ class TestGuards:
         with pytest.raises(DomainError):
             _clamped_arccos_argument(1.0 + 1e-11)
 
+    @pytest.mark.parametrize("delta", [4e102, -4e102, 2e154, 1e300])
+    def test_overflowing_detuning_is_a_domain_error(self, delta):
+        with pytest.raises(DomainError, match="overflows"):
+            spectral_quantities(SystemParams(delta=delta, n_photon=0))
+
+    def test_largest_detunings_below_the_overflow_have_roots(self):
+        sq = spectral_quantities(SystemParams(delta=3e102, n_photon=0))
+        assert np.all(np.isfinite(sq.mu))
+
     def test_degenerate_roots_rejected(self):
         with pytest.raises(DegenerateRoots):
             _check_root_gaps(np.array([0.5, 0.5 + 1e-10, 1.0]))
