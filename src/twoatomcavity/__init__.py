@@ -10,13 +10,11 @@ element.
 """
 from .dynamics import (
     SeriesColumns,
-    TimeSeriesRecord,
     average_negativity,
     first_negativity_zero,
     midline_crossing_count,
     negativity_zero_count,
     populations,
-    series_columns,
     time_series,
 )
 from .entanglement import ClassMatch, NegativityResult, classify, negativity
@@ -70,7 +68,6 @@ __all__ = [
     "SpectralQuantities",
     "SubspacePropagator",
     "SystemParams",
-    "TimeSeriesRecord",
     "TwoAtomAmplitudes",
     "TwoAtomCavityError",
     "audit_closed_form",
@@ -89,7 +86,6 @@ __all__ = [
     "populations",
     "propagate_closed_form",
     "propagate_spectral",
-    "series_columns",
     "spectral_quantities",
     "subspace_hamiltonian",
     "time_series",

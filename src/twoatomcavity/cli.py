@@ -26,10 +26,10 @@ import numpy as np
 
 from .dynamics import (
     SeriesColumns,
-    _average_negativity,
-    _first_negativity_zero,
-    _negativity_zero_count,
-    series_columns,
+    average_negativity,
+    first_negativity_zero,
+    negativity_zero_count,
+    time_series,
 )
 from .entanglement import CLASS_LABELS
 from .errors import TwoAtomCavityError
@@ -84,17 +84,19 @@ PRESETS: dict[str, dict] = {
     "fig6b": {"delta": 0.5, "n_photon": 3, "initial": "gg"},
 }
 
-_CONFIG_KEYS = (
-    "mode",
-    "delta",
-    "n_photon",
-    "initial",
-    "amplitudes",
-    "tau_max",
-    "steps",
-    "output_path",
-    "sweep",
-)
+#: The run-configuration keys and their built-in defaults.  Config files
+#: take exactly these keys, and each has a flag of the same dest.
+_DEFAULTS: dict = {
+    "mode": None,
+    "delta": 0.0,
+    "n_photon": 0,
+    "initial": "ee",
+    "amplitudes": None,
+    "tau_max": 10.0,
+    "steps": 1001,
+    "output_path": None,
+    "sweep": None,
+}
 
 _DEFAULT_OUTPUTS = {"series": "series.csv", "sweep": "sweep.csv", "audit": "audit.json"}
 
@@ -161,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(per atom: a|ground> + b|excited>)")
     parser.add_argument("--tau-max", type=float, default=None, help="end of the time window")
     parser.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")
-    parser.add_argument("--output", default=None, metavar="PATH", help="output file path")
+    parser.add_argument("--output", dest="output_path", default=None, metavar="PATH",
+                        help="output file path")
     parser.add_argument("--sweep", default=None, metavar="PARAM:START:STOP:COUNT",
                         help="scan a parameter (delta or n_photon)")
     return parser
@@ -263,43 +266,23 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    unknown = sorted(set(raw) - set(_DEFAULTS))
     if unknown:
         raise ConfigError(
-            f"unknown config keys {unknown}; valid keys: {sorted(_CONFIG_KEYS)}"
+            f"unknown config keys {unknown}; valid keys: {sorted(_DEFAULTS)}"
         )
     return raw
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, preset, config file, and flags into a RunConfig."""
-    merged: dict = {
-        "mode": None,
-        "delta": 0.0,
-        "n_photon": 0,
-        "initial": "ee",
-        "amplitudes": None,
-        "tau_max": 10.0,
-        "steps": 1001,
-        "output_path": None,
-        "sweep": None,
-    }
+    merged = dict(_DEFAULTS)
     if args.preset is not None:
         merged.update(PRESETS[args.preset])
     if args.config is not None:
         merged.update(_load_config_file(args.config))
-    flag_map = {
-        "mode": args.mode,
-        "delta": args.delta,
-        "n_photon": args.n_photon,
-        "initial": args.initial,
-        "amplitudes": args.amplitudes,
-        "tau_max": args.tau_max,
-        "steps": args.steps,
-        "output_path": args.output,
-        "sweep": args.sweep,
-    }
-    for key, value in flag_map.items():
+    for key in _DEFAULTS:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
 
@@ -368,12 +351,6 @@ def _normalized_custom_amplitudes(
         scale = np.sqrt(norm_sq)
         pairs.append((a / scale, b / scale))
     return (pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1])
-
-
-def _system_params(config: RunConfig, n_photon: int | None = None, delta: float | None = None) -> SystemParams:
-    n = config.n_photon if n_photon is None else n_photon
-    d = config.delta if delta is None else delta
-    return SystemParams(delta=d, n_photon=n)
 
 
 def _initial_for(config: RunConfig):
@@ -487,8 +464,8 @@ def _format_series_rows(columns: SeriesColumns) -> list[str]:
 
 def run_series(config: RunConfig) -> int:
     """Write a CSV time series of populations, negativity, and class labels."""
-    params = _system_params(config)
-    columns = series_columns(params, _initial_for(config), config.tau_max, config.steps)
+    params = SystemParams(delta=config.delta, n_photon=config.n_photon)
+    columns = time_series(params, _initial_for(config), config.tau_max, config.steps)
     lines = [SERIES_HEADER, *_format_series_rows(columns)]
     Path(config.output_path).write_text("\n".join(lines) + "\n")
     return EXIT_OK
@@ -521,7 +498,7 @@ def run_sweep(config: RunConfig) -> int:
     still above it at the window end.
 
     Each point computes only the time and negativity columns of its series
-    (no class labels, no records) and takes the statistics of those arrays.
+    (no class labels) and takes the statistics of those arrays.
     """
     spec = config.sweep
     assert spec is not None  # guaranteed by resolve_config
@@ -530,16 +507,16 @@ def run_sweep(config: RunConfig) -> int:
     rows = [f"{spec.param},avg_negativity,first_negativity_zero,negativity_zero_count"]
     for value in values:
         if spec.param == "delta":
-            params = _system_params(config, delta=float(value))
+            params = SystemParams(delta=float(value), n_photon=config.n_photon)
         else:
-            params = _system_params(config, n_photon=int(value))
-        columns = series_columns(params, initial, config.tau_max, config.steps, labels=False)
-        first_zero = _first_negativity_zero(columns.tau, columns.negativity)
+            params = SystemParams(delta=config.delta, n_photon=int(value))
+        columns = time_series(params, initial, config.tau_max, config.steps, labels=False)
+        first_zero = first_negativity_zero(columns.tau, columns.negativity)
         row = [
             str(int(value)) if spec.param == "n_photon" else _format_float(float(value)),
-            _format_float(_average_negativity(columns.tau, columns.negativity)),
+            _format_float(average_negativity(columns.tau, columns.negativity)),
             _format_float(-1.0 if first_zero is None else first_zero),
-            str(_negativity_zero_count(columns.negativity)),
+            str(negativity_zero_count(columns.negativity)),
         ]
         rows.append(",".join(row))
     Path(config.output_path).write_text("\n".join(rows) + "\n")
@@ -552,7 +529,7 @@ def run_audit(config: RunConfig) -> int:
     The plain-text table goes to stdout; mismatch verdicts are findings, not
     failures, so the exit status stays 0.
     """
-    params = _system_params(config)
+    params = SystemParams(delta=config.delta, n_photon=config.n_photon)
     report = audit_closed_form(params, AUDIT_TAU_GRID)
     Path(config.output_path).write_text(report.to_json() + "\n")
     sys.stdout.write(report.to_text())

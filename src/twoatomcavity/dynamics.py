@@ -4,22 +4,18 @@ The interaction conserves the excitation number, so a preparation
 ``|atoms> ⊗ |n>`` evolves inside at most three excitation blocks of at most
 four states each (Tavis & Cummings 1968): |ee, n> lies in the block whose
 lowest photon number is n, |eg, n> and |ge, n> in the block of n - 1, and
-|gg, n> in the block of n - 2.  :func:`series_columns` diagonalizes each
+|gg, n> in the block of n - 2.  :func:`time_series` diagonalizes each
 block on its own, places the amplitudes on the photon levels n-2..n+2 and
 walks its time grid in chunks of ``_CHUNK_SAMPLES`` samples, which bounds the
 memory of the stacked arrays; no Fock space is truncated.  It returns the
 samples as columns (time, populations, negativity and, unless told not to
-classify, class labels), into which it writes each chunk.
-:func:`time_series` is a record view of those columns.  The negativity
+classify, class labels), into which it writes each chunk.  The negativity
 statistics (:func:`first_negativity_zero`, :func:`negativity_zero_count`,
-:func:`average_negativity`) take records; each delegates to an array
-implementation over the ``tau`` and ``negativity`` columns, which sweeps
-call directly.
+:func:`average_negativity`) take the ``tau`` and ``negativity`` columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,25 +33,8 @@ POPULATION_CLAMP = 1e-12
 #: Negativity at or below this threshold counts as zero for event detection.
 NEGATIVITY_ZERO_THRESHOLD = 1e-6
 
-#: Grid samples evaluated together by :func:`series_columns`.
+#: Grid samples evaluated together by :func:`time_series`.
 _CHUNK_SAMPLES = 128
-
-
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One sampled instant: populations, entanglement degree, class label."""
-
-    tau: float
-    p_ee: float
-    p_eg: float
-    p_ge: float
-    p_gg: float
-    negativity: float
-    class_label: str
-
-    @property
-    def populations(self) -> tuple[float, float, float, float]:
-        return (self.p_ee, self.p_eg, self.p_ge, self.p_gg)
 
 
 def _atomic_vector_of(initial: TwoAtomAmplitudes | np.ndarray) -> np.ndarray:
@@ -70,20 +49,14 @@ def _atomic_vector_of(initial: TwoAtomAmplitudes | np.ndarray) -> np.ndarray:
     return vector
 
 
-def _populations_stack(rho: np.ndarray) -> np.ndarray:
-    """Diagonals ``(batch, 4)`` of a stack of reduced matrices, clamped."""
-    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-    return np.where((-POPULATION_CLAMP < diag) & (diag < 0.0), 0.0, diag)
-
-
-def populations(rho: np.ndarray) -> tuple[float, float, float, float]:
-    """Diagonal of the reduced matrix with tiny negative round-off clamped.
+def populations(rho: np.ndarray) -> np.ndarray:
+    """Diagonals ``(..., 4)`` of reduced matrices ``(..., 4, 4)``, clamped.
 
     Values in ``(-POPULATION_CLAMP, 0)`` become exactly 0; anything more
     negative is left untouched so genuine positivity violations stay visible.
     """
-    clamped = _populations_stack(np.asarray(rho)[None])[0]
-    return tuple(clamped.tolist())  # type: ignore[return-value]
+    diag = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    return np.where((-POPULATION_CLAMP < diag) & (diag < 0.0), 0.0, diag)
 
 
 #: Photon levels n-2..n+2 on which the amplitudes of a sample are placed.
@@ -125,7 +98,7 @@ class SeriesColumns(NamedTuple):
     labels: np.ndarray | None  # (T,)
 
 
-def series_columns(
+def time_series(
     params: SystemParams,
     initial: TwoAtomAmplitudes | np.ndarray,
     tau_max: float,
@@ -175,9 +148,9 @@ def series_columns(
                 phased = np.exp(-1j * system.eigenvalues * chunk[:, None]) * coefficients
             amplitudes[:, atoms, levels] = (system.eigenvectors @ phased[:, :, None])[:, :, 0]
         amplitudes[chunk == 0.0] = prepared
-        rho = linalg._partial_trace_stack(amplitudes)
-        degree, _ = entanglement._negativity_stack(rho)
-        populations_column[rows] = _populations_stack(rho)
+        rho = linalg.partial_trace_field(amplitudes)
+        degree = entanglement.negativity(rho).value
+        populations_column[rows] = populations(rho)
         negativity_column[rows] = degree
         if label_column is not None:
             label_column[rows] = entanglement._classify_stack(
@@ -186,42 +159,20 @@ def series_columns(
     return SeriesColumns(taus, populations_column, negativity_column, label_column)
 
 
-def time_series(
-    params: SystemParams,
-    initial: TwoAtomAmplitudes | np.ndarray,
-    tau_max: float,
-    steps: int,
-    classifier_kwargs: dict | None = None,
-) -> list[TimeSeriesRecord]:
-    """One :class:`TimeSeriesRecord` per sample of :func:`series_columns`.
-
-    Takes the same arguments, classifies every sample, and raises the same
-    errors.
-    """
-    columns = series_columns(
-        params, initial, tau_max, steps, classifier_kwargs=classifier_kwargs
-    )
-    names = entanglement.CLASS_LABELS
-    return [
-        TimeSeriesRecord(tau, p_ee, p_eg, p_ge, p_gg, value, names[label])
-        for tau, (p_ee, p_eg, p_ge, p_gg), value, label in zip(
-            columns.tau.tolist(),
-            columns.populations.tolist(),
-            columns.negativity.tolist(),
-            columns.labels.tolist(),
-        )
-    ]
-
-
 def _downward_crossings(gaps: np.ndarray) -> np.ndarray:
     """Mask ``(T - 1,)`` of the sample pairs whose gap drops from above 0 to at or below it."""
     return (gaps[:-1] > 0.0) & (gaps[1:] <= 0.0)
 
 
-def _first_negativity_zero(
+def first_negativity_zero(
     tau: np.ndarray, negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
 ) -> float | None:
-    """:func:`first_negativity_zero` of the columns ``tau`` and ``negativity``."""
+    """First time the negativity falls back to zero, or ``None``.
+
+    A "zero" is a downward crossing of ``threshold``: the sampled negativity
+    sits above it at one grid point and at or below it at the next.  The
+    crossing time is linearly interpolated between the two grid points.
+    """
     gaps = negativity - threshold
     drops = np.flatnonzero(_downward_crossings(gaps))
     if drops.size == 0:
@@ -233,63 +184,27 @@ def _first_negativity_zero(
     return tau_before + (tau_after - tau_before) * fraction
 
 
-def _negativity_zero_count(
+def negativity_zero_count(
     negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
 ) -> int:
-    """:func:`negativity_zero_count` of the column ``negativity``."""
+    """Number of downward threshold crossings of the negativity."""
     return int(np.count_nonzero(_downward_crossings(negativity - threshold)))
 
 
-def _average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
-    """:func:`average_negativity` of the columns ``tau`` and ``negativity``.
+def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
+    """Time average of the negativity over the sampled window.
 
-    The interior samples are summed one by one in Python, not by
-    ``np.sum``, whose pairwise summation rounds differently.
+    Computed as the trapezoid integral of the linear interpolant divided by
+    the window length.  The interior samples are summed one by one in
+    Python, not by ``np.sum``, whose pairwise summation rounds differently.
     """
     if len(tau) < 2:
-        raise ValueError("need at least two records to average")
+        raise ValueError("need at least two samples to average")
     values = negativity.tolist()
     dt = tau[1].item() - tau[0].item()
     integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
     window = tau[-1].item() - tau[0].item()
     return integral / window
-
-
-def _record_columns(records: Sequence[TimeSeriesRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``tau`` and ``negativity`` columns of a record sequence."""
-    tau = np.array([record.tau for record in records], dtype=float)
-    negativity = np.array([record.negativity for record in records], dtype=float)
-    return tau, negativity
-
-
-def first_negativity_zero(
-    records: Sequence[TimeSeriesRecord],
-    threshold: float = NEGATIVITY_ZERO_THRESHOLD,
-) -> float | None:
-    """First time the negativity falls back to zero, or ``None``.
-
-    A "zero" is a downward crossing of ``threshold``: the sampled negativity
-    sits above it at one grid point and at or below it at the next.  The
-    crossing time is linearly interpolated between the two grid points.
-    """
-    return _first_negativity_zero(*_record_columns(records), threshold)
-
-
-def negativity_zero_count(
-    records: Sequence[TimeSeriesRecord],
-    threshold: float = NEGATIVITY_ZERO_THRESHOLD,
-) -> int:
-    """Number of downward threshold crossings of the negativity."""
-    return _negativity_zero_count(_record_columns(records)[1], threshold)
-
-
-def average_negativity(records: Sequence[TimeSeriesRecord]) -> float:
-    """Time average of the negativity over the sampled window.
-
-    Computed as the trapezoid integral of the linear interpolant divided by
-    the window length.
-    """
-    return _average_negativity(*_record_columns(records))
 
 
 def midline_crossing_count(values: Iterable[float], midline: float = 0.5) -> int:

@@ -7,18 +7,17 @@ reduced state against a small family of entangled-state templates; it is
 deliberately coarse (the templates describe qualitative state shapes), and
 all of its thresholds are exposed as keyword arguments.
 
-Both measures are computed over stacks of density matrices by private
-kernels (``_negativity_stack``, ``_classify_stack``): the time series
-computes each sample's degree once and hands it to the classifier.  Of the
-states past the separability gate, the classifier first rules out, without
-an eigendecomposition, every state that provably gets no template label
-(``_may_match``): by the purity bound, the largest eigenvalue is at most the
-Frobenius norm; by the span bound, each template fidelity is at most
-``tr(P rho) / max(purity_threshold, 1/4)`` for the template's projector
-``P``.  It diagonalizes only the rest and fits every template to all of them
-at once (``_fit_stack``).  :func:`negativity` is a stack-of-one wrapper over
-its kernel; :func:`classify` diagonalizes its one state past the gate
-without the bounds and reports the fidelity and coefficients of the fit.
+:func:`negativity` takes a single density matrix or any stack of them: the
+time series computes each sample's degree once and hands it to the stacked
+classifier (``_classify_stack``).  Of the states past the separability gate,
+the classifier first rules out, without an eigendecomposition, every state
+that provably gets no template label (``_may_match``): by the purity bound,
+the largest eigenvalue is at most the Frobenius norm; by the span bound, each
+template fidelity is at most ``tr(P rho) / max(purity_threshold, 1/4)`` for
+the template's projector ``P``.  It diagonalizes only the rest and fits every
+template to all of them at once (``_fit_stack``).  :func:`classify` takes one
+matrix, diagonalizes it past the gate without the bounds and reports the
+fidelity and coefficients of the fit.
 """
 from __future__ import annotations
 
@@ -58,9 +57,14 @@ CLASS_LABELS = (
 
 @dataclass(frozen=True)
 class NegativityResult:
-    """Entanglement degree plus the partial-transpose spectrum behind it."""
+    """Entanglement degrees plus the partial-transpose spectra behind them.
 
-    value: float
+    For input of shape ``(..., 4, 4)``, ``value`` has shape ``(...)`` and
+    ``pt_eigenvalues`` shape ``(..., 4)``; for one matrix, ``value`` is an
+    ``np.float64``.
+    """
+
+    value: np.ndarray
     pt_eigenvalues: np.ndarray
 
 
@@ -73,39 +77,29 @@ class ClassMatch:
     template_params: dict[str, float]
 
 
-def _as_density_stack(rho: np.ndarray) -> np.ndarray:
-    """One 4x4 matrix as a complex stack of one."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    return rho[None]
-
-
-def _negativity_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entanglement degrees ``(batch,)`` and partial-transpose spectra ``(batch, 4)``.
-
-    Raises :class:`NotNormalized` naming the first matrix of the stack whose
-    trace is off by ``TRACE_TOL`` or more, or is not finite.
-    """
-    trace = np.real(np.trace(rho, axis1=-2, axis2=-1))
-    off = ~(np.abs(trace - 1.0) < TRACE_TOL)
-    if np.any(off):
-        raise NotNormalized(
-            f"density matrix trace {float(trace[np.argmax(off)])!r} deviates from 1"
-        )
-    pt_eigenvalues, _ = linalg._eigh_stack(linalg._partial_transpose(rho))
-    return np.sum(np.abs(pt_eigenvalues), axis=-1) - 1.0, pt_eigenvalues
-
-
 def negativity(rho: np.ndarray) -> NegativityResult:
-    """Entanglement degree of a two-atom density matrix.
+    """Entanglement degree of two-atom density matrices ``(..., 4, 4)``.
 
     Computes the eigenvalues of the partial transpose over the second atom
     and returns ``sum(|eigenvalues|) - 1``.  No rounding or snapping is
     applied; separable states land within round-off of zero.
+
+    Raises:
+        NotNormalized: naming the first matrix whose trace is off by
+            ``TRACE_TOL`` or more, or is not finite.
+        ValueError: for input whose last two axes are not 4x4.
     """
-    values, pt_eigenvalues = _negativity_stack(_as_density_stack(rho))
-    return NegativityResult(value=float(values[0]), pt_eigenvalues=pt_eigenvalues[0])
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
+    trace = np.asarray(np.real(np.trace(rho, axis1=-2, axis2=-1)))
+    off = ~(np.abs(trace - 1.0) < TRACE_TOL)
+    if np.any(off):
+        raise NotNormalized(
+            f"density matrix trace {float(trace[off][0])!r} deviates from 1"
+        )
+    pt_eigenvalues, _ = linalg._eigh_stack(linalg.partial_transpose(rho))
+    return NegativityResult(np.sum(np.abs(pt_eigenvalues), axis=-1) - 1.0, pt_eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -357,12 +351,13 @@ def classify(
     deterministic: a state only reaches a general template after the more
     specific ones have declined it.
     """
-    stack = _as_density_stack(rho)
-    degree, _ = _negativity_stack(stack)
-    if degree[0] < separable_threshold:
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if negativity(rho).value < separable_threshold:
         return ClassMatch(label="separable", fidelity=0.0, template_params={})
     labels, fidelities, coefficients = _fit_stack(
-        stack, purity_threshold, residual_threshold, coefficient_floor
+        rho[None], purity_threshold, residual_threshold, coefficient_floor
     )
     label = CLASS_LABELS[labels[0]]
     template = _TEMPLATE_BY_LABEL.get(label)

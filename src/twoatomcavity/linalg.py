@@ -8,13 +8,11 @@ atoms-plus-field matrix of :func:`twoatomcavity.model.full_hamiltonian` up to
 functions are pure and deterministic: identical inputs produce identical
 outputs.
 
-The work is done by private stack kernels (``_eigh_stack``,
-``_partial_trace_stack``, ``_partial_transpose``) that take a leading batch
-axis, so :func:`twoatomcavity.dynamics.series_columns` evaluates a whole chunk
-of its time grid in one call per kernel.  The public functions are
-stack-of-one wrappers over them: one matrix or state in, one result out.
-Stacking changes no bits: NumPy's ``eigh`` and ``matmul`` apply the same
-LAPACK/BLAS routine to each matrix of a stack as to a single matrix.
+The partial trace and the partial transpose take any stack of states or
+matrices (a leading batch shape), so :func:`twoatomcavity.dynamics.time_series`
+evaluates a whole chunk of its time grid in one call of each.  Stacking changes
+no bits: NumPy's ``eigh`` and ``matmul`` apply the same LAPACK/BLAS routine to
+each matrix of a stack as to a single matrix.
 """
 from __future__ import annotations
 
@@ -124,80 +122,56 @@ def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
 def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:
     """Evaluate the unitary ``exp(-i * m * t)`` for Hermitian ``m``.
 
-    At ``t == 0`` the exact identity matrix is returned, so downstream
-    consumers see bit-exact initial conditions.
+    Equal to ``eig_hermitian(m).unitary(t)``: the exact identity at
+    ``t == 0``, and every check of :func:`eig_hermitian` at every ``t``.
 
     Raises:
         NotHermitian, ConvergenceFailure, ValueError: as in
             :func:`eig_hermitian`.
     """
-    m = _validate_square(m)
-    if t == 0.0:
-        return np.eye(m.shape[0], dtype=np.complex128)
     return eig_hermitian(m).unitary(t)
 
 
-def _partial_trace_stack(amplitudes: np.ndarray) -> np.ndarray:
-    """Reduced atomic matrices of a stack of joint states.
-
-    ``amplitudes`` has shape ``(batch, n_atomic, n_field)``; the result is
-    ``(batch, n_atomic, n_atomic)``.  Raises :class:`NotNormalized` naming the
-    first state of the stack whose squared norm is off by
-    ``NORMALIZATION_TOL`` or more, or is not finite.
-    """
-    norm_sq = np.sum((np.abs(amplitudes) ** 2).reshape(len(amplitudes), -1), axis=1)
-    off = ~(np.abs(norm_sq - 1.0) < NORMALIZATION_TOL)
-    if np.any(off):
-        raise NotNormalized(
-            f"squared norm {float(norm_sq[np.argmax(off)])!r} deviates from 1 beyond "
-            f"{NORMALIZATION_TOL:.0e}"
-        )
-    rho = amplitudes @ np.swapaxes(amplitudes.conj(), -1, -2)
-    rescale = norm_sq != 1.0
-    rho[rescale] /= norm_sq[rescale, None, None]
-    return rho
-
-
-def partial_trace_field(psi: np.ndarray, n_atomic: int = 4) -> np.ndarray:
-    """Trace the field out of a pure atoms-plus-field state.
+def partial_trace_field(amplitudes: np.ndarray) -> np.ndarray:
+    """Trace the field out of pure atoms-plus-field states.
 
     Args:
-        psi: joint amplitudes, either flat with length ``n_atomic * n_field``
-            (atomic index major, photon number minor) or already shaped
-            ``(n_atomic, n_field)``.
-        n_atomic: dimension of the atomic factor (4 for two qubits).
+        amplitudes: joint amplitudes of shape ``(..., n_atomic, n_field)``
+            (atomic index, then photon number); a flat state vector is
+            reshaped by the caller.
 
     Returns:
-        The reduced atomic density matrix
+        The reduced atomic density matrices ``(..., n_atomic, n_atomic)``,
         ``rho[j, k] = sum_m psi(j, m) * conj(psi(k, m))`` rescaled by the
         squared norm, Hermitian with unit trace.
 
     Raises:
-        NotNormalized: if ``| ||psi||^2 - 1 |`` is not below
-            ``NORMALIZATION_TOL``.
+        NotNormalized: naming the first state whose squared norm is off by
+            ``NORMALIZATION_TOL`` or more, or is not finite.
+        ValueError: for input of fewer than two dimensions.
     """
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim == 1:
-        if psi.size % n_atomic != 0:
-            raise ValueError(
-                f"flat state length {psi.size} is not a multiple of {n_atomic}"
-            )
-        amplitudes = psi.reshape(n_atomic, psi.size // n_atomic)
-    elif psi.ndim == 2 and psi.shape[0] == n_atomic:
-        amplitudes = psi
-    else:
-        raise ValueError(f"cannot interpret state of shape {psi.shape}")
-    return _partial_trace_stack(amplitudes[None])[0]
-
-
-def _partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose over the second atom of any stack ``(..., 4, 4)``."""
-    shape = rho.shape
-    return rho.reshape(*shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(shape)
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    if amplitudes.ndim < 2:
+        raise ValueError(
+            f"expected amplitudes of shape (..., n_atomic, n_field), got {amplitudes.shape}"
+        )
+    norm_sq = np.asarray(
+        np.sum((np.abs(amplitudes) ** 2).reshape(*amplitudes.shape[:-2], -1), axis=-1)
+    )
+    off = ~(np.abs(norm_sq - 1.0) < NORMALIZATION_TOL)
+    if np.any(off):
+        raise NotNormalized(
+            f"squared norm {float(norm_sq[off][0])!r} deviates from 1 beyond "
+            f"{NORMALIZATION_TOL:.0e}"
+        )
+    rho = amplitudes @ np.swapaxes(amplitudes.conj(), -1, -2)
+    rescale = norm_sq != 1.0
+    rho[rescale] /= norm_sq[rescale][..., None, None]
+    return rho
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Transpose the second atom's indices of a two-atom density matrix.
+    """Transpose the second atom's indices of two-atom matrices ``(..., 4, 4)``.
 
     Basis order is (|ee>, |eg>, |ge>, |gg>), i.e. index ``2*i1 + i2`` with
     0 = excited and 1 = ground per atom.  The element at
@@ -205,6 +179,7 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     operation twice returns the original matrix bit-for-bit.
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    return _partial_transpose(rho)
+    shape = rho.shape
+    if shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {shape}")
+    return rho.reshape(*shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(shape)

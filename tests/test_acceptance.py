@@ -59,24 +59,21 @@ def series(delta: float, n: int, initial: str):
     )
 
 
-def is_stationary(records) -> bool:
-    base = np.array(records[0].populations + (records[0].negativity,))
-    worst = max(
-        float(np.max(np.abs(np.array(r.populations + (r.negativity,)) - base)))
-        for r in records
-    )
-    return worst < 1e-9
+def drift(columns) -> float:
+    """Largest change of any population or the negativity from the first sample."""
+    table = np.column_stack((columns.populations, columns.negativity))
+    return float(np.max(np.abs(table - table[0])))
 
 
-def negativities(records) -> np.ndarray:
-    return np.array([record.negativity for record in records])
+def is_stationary(columns) -> bool:
+    return drift(columns) < 1e-9
 
 
-def oracle_gap(records, delta: float, n: int, initial: str) -> tuple[float, np.ndarray]:
+def oracle_gap(columns, delta: float, n: int, initial: str) -> tuple[float, np.ndarray]:
     """Worst pointwise gap between a production series and the ladder oracle."""
-    assert [record.tau for record in records] == list(TAUS)
+    assert columns.tau.tolist() == list(TAUS)
     expected = symmetric_ladder_negativities(delta, n, initial, TAUS)
-    return float(np.max(np.abs(negativities(records) - expected))), expected
+    return float(np.max(np.abs(columns.negativity - expected))), expected
 
 
 def lifetime(values, first_zero: float | None) -> str:
@@ -163,16 +160,12 @@ def test_criterion_03_negativity_ground_truths(rng):
 def test_criterion_04_dark_state_conservation(m):
     """Antisymmetric pair with m photons: populations and negativity constant
     to 1e-9 over the full window."""
-    records = time_series(
+    columns = time_series(
         SystemParams(delta=0.5, n_photon=m), named_atomic_state("singlet"), WINDOW, 101
     )
-    base = np.array(records[0].populations + (records[0].negativity,))
-    worst = max(
-        float(np.max(np.abs(np.array(r.populations + (r.negativity,)) - base)))
-        for r in records
-    )
+    worst = drift(columns)
     assert worst < 1e-9, f"dark-state drift {worst:.3e} at m={m}"
-    assert records[0].negativity == pytest.approx(1.0, abs=1e-10)
+    assert columns.negativity[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_criterion_05_periodicity_and_exact_initial_negativity():
@@ -184,10 +177,8 @@ def test_criterion_05_periodicity_and_exact_initial_negativity():
     assert fidelity > 1.0 - 1e-8, f"revival fidelity {fidelity!r}"
 
     params = SystemParams(delta=0.0, n_photon=0)
-    records = time_series(params, named_atomic_state("ee"), WINDOW, 11)
-    assert records[0].negativity == 0.0, (
-        f"initial negativity {records[0].negativity!r} is not exactly zero"
-    )
+    initial = time_series(params, named_atomic_state("ee"), WINDOW, 11).negativity[0].item()
+    assert initial == 0.0, f"initial negativity {initial!r} is not exactly zero"
 
 
 def test_criterion_06_entanglement_lifetime_windows():
@@ -214,24 +205,24 @@ def test_criterion_06_entanglement_lifetime_windows():
     evidence = []
     lifetimes = {}
     for delta in (0.1, 1.0):
-        ee_records = series(delta, 0, "ee")
+        ee_series = series(delta, 0, "ee")
 
         gg_n = 0
-        gg_records = series(delta, gg_n, "gg")
+        gg_series = series(delta, gg_n, "gg")
         note = ""
-        if is_stationary(gg_records):
+        if is_stationary(gg_series):
             for candidate in (1, 2, 3):
-                gg_records = series(delta, candidate, "gg")
-                if not is_stationary(gg_records):
+                gg_series = series(delta, candidate, "gg")
+                if not is_stationary(gg_series):
                     gg_n = candidate
                     break
             note = f" (ground pair stationary at n=0; evaluated at n={gg_n})"
 
-        ee_gap, ee_oracle = oracle_gap(ee_records, delta, 0, "ee")
-        gg_gap, gg_oracle = oracle_gap(gg_records, delta, gg_n, "gg")
-        ee_peak = float(np.max(negativities(ee_records)))
-        ee_zero = first_negativity_zero(ee_records)
-        gg_zero = first_negativity_zero(gg_records)
+        ee_gap, ee_oracle = oracle_gap(ee_series, delta, 0, "ee")
+        gg_gap, gg_oracle = oracle_gap(gg_series, delta, gg_n, "gg")
+        ee_peak = float(np.max(ee_series.negativity))
+        ee_zero = first_negativity_zero(ee_series.tau, ee_series.negativity)
+        gg_zero = first_negativity_zero(gg_series.tau, gg_series.negativity)
         ee_oracle_zero = first_downward_crossing(TAUS, ee_oracle, NEGATIVITY_ZERO_THRESHOLD)
         gg_oracle_zero = first_downward_crossing(TAUS, gg_oracle, NEGATIVITY_ZERO_THRESHOLD)
         rabi_return = 2.0 * np.pi / np.sqrt(8.0 + delta**2)
@@ -267,8 +258,8 @@ def test_criterion_07_photon_number_increases_oscillations():
     """At delta=0.5 the doubly excited population oscillates strictly more
     often with three photons than with none (crossings of the 1/2 midline
     over the window)."""
-    slow = midline_crossing_count(r.p_ee for r in series(0.5, 0, "ee"))
-    fast = midline_crossing_count(r.p_ee for r in series(0.5, 3, "ee"))
+    slow = midline_crossing_count(series(0.5, 0, "ee").populations[:, 0].tolist())
+    fast = midline_crossing_count(series(0.5, 3, "ee").populations[:, 0].tolist())
     assert fast > slow, f"oscillation counts: n=3 gives {fast}, n=0 gives {slow}"
 
 
@@ -288,12 +279,12 @@ def test_criterion_08_detuning_extends_entanglement_lifetime():
     produced, expected = [], []
     for delta in np.linspace(0.1, 1.0, 10):
         delta = float(delta)
-        records = series(delta, 0, "ee")
-        gap, oracle = oracle_gap(records, delta, 0, "ee")
+        columns = series(delta, 0, "ee")
+        gap, oracle = oracle_gap(columns, delta, 0, "ee")
         assert gap <= 1e-9, f"delta={delta}: oracle gap {gap:.3e}"
-        zero = first_negativity_zero(records)
+        zero = first_negativity_zero(columns.tau, columns.negativity)
         oracle_zero = first_downward_crossing(TAUS, oracle, NEGATIVITY_ZERO_THRESHOLD)
-        produced.append((lifetime(negativities(records), zero), zero))
+        produced.append((lifetime(columns.negativity, zero), zero))
         expected.append((lifetime(oracle, oracle_zero), oracle_zero))
     report = (
         f"first-zero column across delta in [0.1, 1.0]: production "

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatomcavity import cli, entanglement
-from twoatomcavity.dynamics import SeriesColumns, series_columns
+from twoatomcavity.dynamics import SeriesColumns, time_series
 from twoatomcavity.entanglement import CLASS_LABELS
 from twoatomcavity.errors import DegenerateRoots
 from twoatomcavity.model import SystemParams, named_atomic_state
@@ -277,8 +277,8 @@ class TestSeriesMode:
         done = run_module_strict(["--initial", "eg", "--tau-max", "1e300", "--steps", "5",
                                   "--output", str(out)])
         assert (done.returncode, done.stderr) == (0, "")
-        columns = series_columns(SystemParams(delta=0.0, n_photon=0), named_atomic_state("eg"),
-                                 1e300, 5)
+        columns = time_series(SystemParams(delta=0.0, n_photon=0), named_atomic_state("eg"),
+                              1e300, 5)
         table = np.column_stack((columns.tau, columns.populations, columns.negativity))
         expected = [cli.SERIES_HEADER] + [
             ",".join([cli._format_float(value) for value in row] + [CLASS_LABELS[label]])
@@ -479,9 +479,35 @@ class TestConfigLayers:
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"detuning": 1.0}))
+        config.write_text(json.dumps({"detuning": 1.0, "tau": 2.0}))
         assert run_cli(["--config", str(config)]) == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown config keys ['detuning', 'tau']; valid keys: ['amplitudes', "
+            "'delta', 'initial', 'mode', 'n_photon', 'output_path', 'steps', 'sweep', "
+            "'tau_max']\n"
+        )
+
+    def test_config_file_and_flags_resolve_alike(self, tmp_path):
+        # Every key set once in a config file and once as flags.
+        out = str(tmp_path / "sweep.csv")
+        values = {
+            "mode": "sweep", "delta": 0.25, "n_photon": 2, "initial": "custom",
+            "amplitudes": "0.6,0.8,0.8,0.6", "tau_max": 3.5, "steps": 41,
+            "output_path": out, "sweep": "delta:0.1:0.9:5",
+        }
+        assert sorted(values) == sorted(cli._DEFAULTS)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        flags = [
+            "--mode", "sweep", "--delta", "0.25", "--n-photon", "2", "--initial", "custom",
+            "--amplitudes", "0.6,0.8,0.8,0.6", "--tau-max", "3.5", "--steps", "41",
+            "--output", out, "--sweep", "delta:0.1:0.9:5",
+        ]
+        parser = cli.build_parser()
+        from_file = cli.resolve_config(parser.parse_args(["--config", str(config)]))
+        from_flags = cli.resolve_config(parser.parse_args(flags))
+        assert from_file == from_flags
+        assert from_file != cli.resolve_config(parser.parse_args([]))
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert run_cli(["--config", str(tmp_path / "absent.json")]) == 1

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,16 +18,11 @@ from twoatomcavity import entanglement
 from twoatomcavity.cli import FORMAT_SNAP_TOL
 from twoatomcavity.dynamics import (
     NEGATIVITY_ZERO_THRESHOLD,
-    TimeSeriesRecord,
-    _average_negativity,
-    _first_negativity_zero,
-    _negativity_zero_count,
     average_negativity,
     first_negativity_zero,
     midline_crossing_count,
     negativity_zero_count,
     populations,
-    series_columns,
     time_series,
 )
 from twoatomcavity.entanglement import CLASS_LABELS, SEPARABLE_THRESHOLD, classify, negativity
@@ -54,19 +50,16 @@ from oracles import (
 )
 
 
-def make_records(taus, negativities) -> list[TimeSeriesRecord]:
-    return [
-        TimeSeriesRecord(
-            tau=float(tau),
-            p_ee=0.0,
-            p_eg=0.0,
-            p_ge=0.0,
-            p_gg=1.0,
-            negativity=float(value),
-            class_label="separable",
-        )
-        for tau, value in zip(taus, negativities)
-    ]
+class Sample(NamedTuple):
+    """One sampled instant, as the record-loop oracles read it."""
+
+    tau: float
+    negativity: float
+
+
+def columns_of(taus, negativities) -> tuple[np.ndarray, np.ndarray]:
+    """The ``tau`` and ``negativity`` columns of a hand-written series."""
+    return np.array(taus, dtype=float), np.array(negativities, dtype=float)
 
 
 class TestFullSpaceOracle:
@@ -220,7 +213,7 @@ class TestSymmetricLadderOracle:
 class TestPopulations:
     def test_clamps_tiny_negatives(self):
         rho = np.diag([1.0, -5e-13, 0.0, 0.0]).astype(np.complex128)
-        assert populations(rho) == (1.0, 0.0, 0.0, 0.0)
+        assert populations(rho).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_leaves_genuine_negatives_visible(self):
         rho = np.diag([1.0, -5e-12, 0.0, 0.0]).astype(np.complex128)
@@ -228,58 +221,68 @@ class TestPopulations:
 
     def test_reads_diagonal(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128)
-        assert populations(rho) == (0.4, 0.3, 0.2, 0.1)
+        assert populations(rho).tolist() == [0.4, 0.3, 0.2, 0.1]
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    def test_stack_equals_per_matrix_calls(self, rng, shape):
+        diagonals = rng.choice([0.5, 0.25, -5e-13, -5e-12, 0.0], size=(*shape, 4))
+        matrices = np.zeros((*shape, 4, 4), dtype=np.complex128)
+        matrices[..., range(4), range(4)] = diagonals
+        matrices[..., 0, 1] = 0.1j
+        stacked = populations(matrices)
+        assert stacked.shape == (*shape, 4)
+        for index in np.ndindex(shape):
+            assert np.array_equal(stacked[index], populations(matrices[index]))
 
 
 class TestTimeSeries:
     def test_grid_and_lengths(self):
         params = SystemParams(delta=0.5, n_photon=0)
-        records = time_series(params, named_atomic_state("ee"), 2.0, 5)
-        assert len(records) == 5
-        assert [record.tau for record in records] == pytest.approx(
-            list(np.linspace(0.0, 2.0, 5)), abs=0.0
-        )
+        columns = time_series(params, named_atomic_state("ee"), 2.0, 5)
+        assert len(columns.tau) == len(columns.negativity) == len(columns.labels) == 5
+        assert columns.populations.shape == (5, 4)
+        assert columns.tau.tolist() == pytest.approx(list(np.linspace(0.0, 2.0, 5)), abs=0.0)
 
     def test_initial_point_is_exact(self):
         params = SystemParams(delta=0.5, n_photon=0)
-        first = time_series(params, named_atomic_state("ee"), 2.0, 3)[0]
-        assert first.p_ee == 1.0
-        assert first.p_eg == 0.0 and first.p_ge == 0.0 and first.p_gg == 0.0
-        assert first.negativity == 0.0
-        assert first.class_label == "separable"
+        columns = time_series(params, named_atomic_state("ee"), 2.0, 3)
+        assert columns.populations[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert columns.negativity[0] == 0.0
+        assert CLASS_LABELS[columns.labels[0]] == "separable"
 
     def test_populations_sum_to_one(self):
         params = SystemParams(delta=0.1, n_photon=1)
-        for record in time_series(params, named_atomic_state("ee"), 5.0, 21):
-            assert sum(record.populations) == pytest.approx(1.0, abs=1e-12)
+        for row in time_series(params, named_atomic_state("ee"), 5.0, 21).populations.tolist():
+            assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_ground_pair_without_photons_is_stationary(self):
         params = SystemParams(delta=0.0, n_photon=0)
-        records = time_series(params, named_atomic_state("gg"), 10.0, 2)
-        first, last = records
-        assert last.p_gg == pytest.approx(first.p_gg, abs=1e-12)
-        assert last.negativity == pytest.approx(first.negativity, abs=1e-12)
-        assert last.class_label == first.class_label
+        columns = time_series(params, named_atomic_state("gg"), 10.0, 2)
+        assert columns.populations[1, 3] == pytest.approx(columns.populations[0, 3], abs=1e-12)
+        assert columns.negativity[1] == pytest.approx(columns.negativity[0], abs=1e-12)
+        assert columns.labels[1] == columns.labels[0]
 
     def test_matches_pointwise_evolution(self):
         params = SystemParams(delta=0.5, n_photon=0)
-        records = time_series(params, named_atomic_state("ee"), 3.0, 7)
+        columns = time_series(params, named_atomic_state("ee"), 3.0, 7)
         oracle = FullSpaceOracle(0.5, 0)
-        for record in records:
-            rho = oracle.reduced_state(named_atomic_state("ee"), record.tau)
-            assert record.p_ee == pytest.approx(float(np.real(rho[0, 0])), abs=1e-10)
-            assert record.negativity == pytest.approx(negativity(rho).value, abs=1e-10)
+        for tau, (p_ee, *_), value in zip(
+            columns.tau.tolist(), columns.populations.tolist(), columns.negativity.tolist()
+        ):
+            rho = oracle.reduced_state(named_atomic_state("ee"), tau)
+            assert p_ee == pytest.approx(float(np.real(rho[0, 0])), abs=1e-10)
+            assert value == pytest.approx(negativity(rho).value, abs=1e-10)
 
     def test_classifier_kwargs_forwarded(self):
         params = SystemParams(delta=0.5, n_photon=0)
-        records = time_series(
+        columns = time_series(
             params,
             named_atomic_state("ee"),
             2.0,
             4,
             classifier_kwargs={"separable_threshold": 2.0},
         )
-        assert {record.class_label for record in records} == {"separable"}
+        assert {CLASS_LABELS[label] for label in columns.labels} == {"separable"}
 
     def test_rejects_bad_steps(self):
         params = SystemParams(delta=0.0, n_photon=0)
@@ -341,20 +344,20 @@ _phases = st.floats(0.0, 2 * np.pi)
     steps=st.integers(2, 200),
 )
 def test_batched_series_matches_scalar_route(delta, n_photon, atom1, atom2, tau_max, steps):
-    """Every chunked record equals the full-space oracle -> populations/negativity/classify."""
+    """Every chunked sample equals the full-space oracle -> populations/negativity/classify."""
     (a1, b1), (a2, b2) = _product(*atom1), _product(*atom2)
     initial = TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2)
-    records = time_series(SystemParams(delta=delta, n_photon=n_photon), initial, tau_max, steps)
-    assert len(records) == steps
+    columns = time_series(SystemParams(delta=delta, n_photon=n_photon), initial, tau_max, steps)
+    assert len(columns.tau) == steps
     oracle = FullSpaceOracle(delta, n_photon)
     atomic = np.kron([b1, a1], [b2, a2])  # (ee, eg, ge, gg), excited first per atom
-    for record in records:
-        rho = oracle.reduced_state(atomic, record.tau)
-        assert np.allclose(record.populations, populations(rho), rtol=0.0, atol=1e-10)
+    for k, tau in enumerate(columns.tau.tolist()):
+        rho = oracle.reduced_state(atomic, tau)
+        assert np.allclose(columns.populations[k], populations(rho), rtol=0.0, atol=1e-10)
         degree = negativity(rho).value
-        assert abs(record.negativity - degree) < 1e-10
+        assert abs(columns.negativity[k] - degree) < 1e-10
         if abs(degree - SEPARABLE_THRESHOLD) > 1e-9:
-            assert record.class_label == classify(rho).label, record
+            assert CLASS_LABELS[columns.labels[k]] == classify(rho).label, (k, tau)
 
 
 @st.composite
@@ -381,7 +384,7 @@ def test_series_invariants_hold_at_any_photon_number(delta, n_photon, amplitudes
     """Unit population sum, negativity in [0, 1], atom-swap symmetry, dark singlet."""
     params = SystemParams(delta=delta, n_photon=n_photon)
     a1, b1, a2, b2 = amplitudes
-    columns = series_columns(
+    columns = time_series(
         params, TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2), tau_max, steps, labels=False
     )
     assert np.max(np.abs(columns.populations.sum(axis=1) - 1.0)) < 1e-10
@@ -389,12 +392,12 @@ def test_series_invariants_hold_at_any_photon_number(delta, n_photon, amplitudes
     degree = columns.negativity
     assert np.all((degree > -FORMAT_SNAP_TOL) & (degree < 1.0 + FORMAT_SNAP_TOL))
     # Swapping the atoms swaps p_eg and p_ge and leaves the rest alone.
-    swapped = series_columns(
+    swapped = time_series(
         params, TwoAtomAmplitudes(a1=a2, b1=b2, a2=a1, b2=b1), tau_max, steps, labels=False
     )
     assert np.max(np.abs(columns.populations - swapped.populations[:, [0, 2, 1, 3]])) < 1e-9
     assert np.max(np.abs(columns.negativity - swapped.negativity)) < 1e-9
-    singlet = series_columns(
+    singlet = time_series(
         params, named_atomic_state("singlet"), tau_max, steps, labels=False
     )
     assert np.max(np.abs(singlet.negativity - 1.0)) < 1e-10
@@ -423,7 +426,7 @@ def test_classified_states_are_density_matrices(delta, n_photon, amplitudes, tau
     a1, b1, a2, b2 = amplitudes
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(entanglement, "_classify_stack", capture)
-        series_columns(SystemParams(delta=delta, n_photon=n_photon),
+        time_series(SystemParams(delta=delta, n_photon=n_photon),
                        TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2), tau_max, steps)
     rho = np.concatenate(captured)
     assert len(rho) == steps
@@ -433,31 +436,20 @@ def test_classified_states_are_density_matrices(delta, n_photon, amplitudes, tau
 
 
 class TestSeriesColumns:
-    @pytest.mark.parametrize("initial", ["ee", "eg", "singlet"])
-    def test_records_are_a_view_of_the_columns(self, initial):
-        params = SystemParams(delta=0.37, n_photon=3)
-        state = named_atomic_state(initial)
-        columns = series_columns(params, state, 3.7, 300)
-        records = time_series(params, state, 3.7, 300)
-        assert [r.tau for r in records] == columns.tau.tolist()
-        assert [list(r.populations) for r in records] == columns.populations.tolist()
-        assert [r.negativity for r in records] == columns.negativity.tolist()
-        assert [r.class_label for r in records] == [CLASS_LABELS[k] for k in columns.labels]
-
     def test_unlabelled_columns_do_not_classify(self, monkeypatch):
         params = SystemParams(delta=0.37, n_photon=3)
-        labelled = series_columns(params, named_atomic_state("eg"), 3.7, 300)
+        labelled = time_series(params, named_atomic_state("eg"), 3.7, 300)
 
         def refuse(*args, **kwargs):
             raise AssertionError("classified a sample")
 
         monkeypatch.setattr(entanglement, "_classify_stack", refuse)
-        unlabelled = series_columns(params, named_atomic_state("eg"), 3.7, 300, labels=False)
+        unlabelled = time_series(params, named_atomic_state("eg"), 3.7, 300, labels=False)
         assert unlabelled.labels is None
         for name in ("tau", "populations", "negativity"):
             assert np.array_equal(getattr(unlabelled, name), getattr(labelled, name)), name
         with pytest.raises(AssertionError, match="classified a sample"):
-            series_columns(params, named_atomic_state("eg"), 3.7, 300)
+            time_series(params, named_atomic_state("eg"), 3.7, 300)
 
 
 _THRESHOLD = NEGATIVITY_ZERO_THRESHOLD
@@ -496,55 +488,55 @@ def _negativity_series(draw) -> list[float]:
 def test_array_statistics_equal_the_record_loops_bit_for_bit(values, tau_max):
     tau = np.linspace(0.0, tau_max, len(values))
     negativity = np.array(values)
-    records = make_records(tau.tolist(), values)
-    first_zero = record_first_negativity_zero(records, _THRESHOLD)
-    count = record_negativity_zero_count(records, _THRESHOLD)
-    average = record_average_negativity(records)
-    assert _first_negativity_zero(tau, negativity) == first_zero
-    assert first_negativity_zero(records) == first_zero
-    assert _negativity_zero_count(negativity) == count
-    assert negativity_zero_count(records) == count
-    assert _average_negativity(tau, negativity) == average
-    assert average_negativity(records) == average
+    records = [Sample(t, value) for t, value in zip(tau.tolist(), values)]
+    assert first_negativity_zero(tau, negativity) == record_first_negativity_zero(
+        records, _THRESHOLD
+    )
+    assert negativity_zero_count(negativity) == record_negativity_zero_count(records, _THRESHOLD)
+    assert average_negativity(tau, negativity) == record_average_negativity(records)
 
 
 class TestSeriesStatistics:
     def test_first_zero_interpolates(self):
-        records = make_records([0.0, 1.0, 2.0, 3.0], [0.5, 2e-6, 0.0, 0.0])
-        assert first_negativity_zero(records) == 1.5
+        columns = columns_of([0.0, 1.0, 2.0, 3.0], [0.5, 2e-6, 0.0, 0.0])
+        assert first_negativity_zero(*columns) == 1.5
 
     def test_first_zero_requires_downward_crossing(self):
-        rising = make_records([0.0, 1.0, 2.0], [0.0, 0.1, 0.2])
-        assert first_negativity_zero(rising) is None
+        rising = columns_of([0.0, 1.0, 2.0], [0.0, 0.1, 0.2])
+        assert first_negativity_zero(*rising) is None
 
     def test_first_zero_ignores_subthreshold_noise(self):
-        noisy = make_records([0.0, 1.0, 2.0], [1e-9, 1e-17, 1e-9])
-        assert first_negativity_zero(noisy) is None
+        noisy = columns_of([0.0, 1.0, 2.0], [1e-9, 1e-17, 1e-9])
+        assert first_negativity_zero(*noisy) is None
 
     def test_first_zero_skips_leading_flat_zero(self):
-        records = make_records([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.3, 0.0])
-        crossing = first_negativity_zero(records)
+        columns = columns_of([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.3, 0.0])
+        crossing = first_negativity_zero(*columns)
         assert crossing is not None and 2.0 < crossing <= 3.0
 
+    def test_first_zero_threshold_override(self):
+        columns = columns_of([0.0, 1.0, 2.0], [0.75, 0.25, 0.25])
+        assert first_negativity_zero(*columns, threshold=0.5) == 0.5
+
     def test_zero_count(self):
-        records = make_records(range(5), [0.5, 0.0, 0.5, 0.0, 0.5])
-        assert negativity_zero_count(records) == 2
+        _, values = columns_of(range(5), [0.5, 0.0, 0.5, 0.0, 0.5])
+        assert negativity_zero_count(values) == 2
 
     def test_zero_count_empty(self):
-        records = make_records([0.0, 1.0], [0.2, 0.4])
-        assert negativity_zero_count(records) == 0
+        _, values = columns_of([0.0, 1.0], [0.2, 0.4])
+        assert negativity_zero_count(values) == 0
 
     def test_average_is_trapezoidal(self):
-        records = make_records([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-        assert average_negativity(records) == pytest.approx(0.5, abs=1e-15)
+        columns = columns_of([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        assert average_negativity(*columns) == pytest.approx(0.5, abs=1e-15)
 
     def test_average_of_constant(self):
-        records = make_records([0.0, 2.0, 4.0], [0.3, 0.3, 0.3])
-        assert average_negativity(records) == pytest.approx(0.3, abs=1e-15)
+        columns = columns_of([0.0, 2.0, 4.0], [0.3, 0.3, 0.3])
+        assert average_negativity(*columns) == pytest.approx(0.3, abs=1e-15)
 
     def test_average_needs_two_records(self):
         with pytest.raises(ValueError):
-            average_negativity(make_records([0.0], [0.1]))
+            average_negativity(*columns_of([0.0], [0.1]))
 
     def test_midline_crossings(self):
         values = [0.6, 0.4, 0.45, 0.55, 0.5, 0.3]

@@ -98,6 +98,32 @@ class TestNegativity:
         with pytest.raises(NotNormalized):
             negativity(np.eye(4) / 2.0)
 
+    def test_single_matrix_value_is_a_float64(self):
+        assert type(negativity(werner_state(0.5)).value) is np.float64
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    def test_stack_equals_per_matrix_calls(self, rng, shape):
+        states = []
+        for _ in range(int(np.prod(shape))):
+            vectors = [random_state(rng, 4) for _ in range(2)]
+            weight = rng.random()
+            states.append(weight * pure_rho(vectors[0]) + (1.0 - weight) * pure_rho(vectors[1]))
+        states = np.array(states).reshape(*shape, 4, 4)
+        stacked = negativity(states)
+        assert stacked.value.shape == shape
+        assert stacked.pt_eigenvalues.shape == (*shape, 4)
+        for index in np.ndindex(shape):
+            single = negativity(states[index])
+            assert stacked.value[index] == single.value
+            assert np.array_equal(stacked.pt_eigenvalues[index], single.pt_eigenvalues)
+
+    def test_names_the_first_unnormalized_matrix_of_a_stack(self):
+        states = np.array([np.eye(4) / 4.0] * 6).reshape(2, 3, 4, 4)
+        states[0, 2] *= 1.5
+        states[1, 0] *= 2.0
+        with pytest.raises(NotNormalized, match=r"trace 1\.5 deviates"):
+            negativity(states)
+
 
 class TestClassifyGates:
     def test_separable_product_state(self, rng):
@@ -200,13 +226,17 @@ class TestClassifyTemplates:
     def test_returns_named_match(self):
         assert isinstance(classify(np.eye(4) / 4.0), ClassMatch)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 4, 4)])
+    def test_rejects_anything_but_one_matrix(self, shape):
+        with pytest.raises(ValueError):
+            classify(np.ones(shape) / 4.0)
+
 
 def stack_labels(states, **thresholds) -> list[str]:
     """Labels of ``_classify_stack`` for a list of matrices, as names."""
     stack = np.array(states, dtype=np.complex128)
-    degree, _ = entanglement._negativity_stack(stack)
     return [CLASS_LABELS[index] for index in entanglement._classify_stack(
-        stack, degree, **thresholds).tolist()]
+        stack, negativity(stack).value, **thresholds).tolist()]
 
 
 class TestCertificates:

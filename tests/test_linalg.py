@@ -118,6 +118,13 @@ class TestExpm:
         result = expm_i_hermitian(matrix, 0.0)
         assert np.array_equal(result, np.eye(5, dtype=np.complex128))
 
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_rejects_non_hermitian_at_every_time(self, rng, t):
+        matrix = random_hermitian(rng, 4)
+        matrix[0, 1] += 1e-6
+        with pytest.raises(NotHermitian):
+            expm_i_hermitian(matrix, t)
+
     def test_unitary(self, rng):
         u = expm_i_hermitian(random_hermitian(rng, 6), 1.7)
         assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < 1e-12
@@ -146,38 +153,55 @@ class TestPartialTraceField:
     def test_product_state(self, rng):
         atoms = random_state(rng, 4)
         field = random_state(rng, 5)
-        rho = partial_trace_field(np.kron(atoms, field))
+        rho = partial_trace_field(np.kron(atoms, field).reshape(4, 5))
         assert np.max(np.abs(rho - np.outer(atoms, atoms.conj()))) < 1e-12
 
     def test_matches_brute_oracle(self, rng):
         for _ in range(5):
             psi = random_state(rng, 4 * 6)
-            rho = partial_trace_field(psi)
+            rho = partial_trace_field(psi.reshape(4, 6))
             assert np.max(np.abs(rho - brute_partial_trace_field(psi, 6))) < 1e-12
 
     def test_unit_trace_and_hermitian(self, rng):
-        rho = partial_trace_field(random_state(rng, 4 * 7))
+        rho = partial_trace_field(random_state(rng, 4 * 7).reshape(4, 7))
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
-    def test_accepts_matrix_shape(self, rng):
-        psi = random_state(rng, 4 * 3)
-        flat = partial_trace_field(psi)
-        shaped = partial_trace_field(psi.reshape(4, 3))
-        assert np.array_equal(flat, shaped)
-
     def test_rescales_tiny_norm_error(self, rng):
-        psi = random_state(rng, 4 * 3) * (1.0 + 2e-11)
+        psi = random_state(rng, 4 * 3).reshape(4, 3) * (1.0 + 2e-11)
         rho = partial_trace_field(psi)
         assert abs(np.trace(rho).real - 1.0) < 1e-12
 
     def test_rejects_unnormalized(self, rng):
         with pytest.raises(NotNormalized):
-            partial_trace_field(random_state(rng, 4 * 3) * 1.001)
+            partial_trace_field(random_state(rng, 4 * 3).reshape(4, 3) * 1.001)
 
     def test_rejects_bad_shape(self):
+        # A flat state vector is reshaped by the caller.
         with pytest.raises(ValueError):
-            partial_trace_field(np.ones(10) / np.sqrt(10.0))
+            partial_trace_field(np.ones(12) / np.sqrt(12.0))
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    def test_stack_equals_per_state_calls(self, rng, shape):
+        # Some states are off unit norm by round-off, so the rescale runs too.
+        scale = 1.0 + rng.choice([0.0, 2e-11], size=shape)[..., None, None]
+        states = np.array(
+            [random_state(rng, 4 * 5).reshape(4, 5) for _ in range(int(np.prod(shape)))]
+        ).reshape(*shape, 4, 5) * scale
+        stacked = partial_trace_field(states)
+        assert stacked.shape == (*shape, 4, 4)
+        for index in np.ndindex(shape):
+            assert np.array_equal(stacked[index], partial_trace_field(states[index]))
+
+    def test_names_the_first_unnormalized_state_of_a_stack(self, rng):
+        states = np.array([random_state(rng, 4 * 3).reshape(4, 3) for _ in range(6)])
+        states = states.reshape(2, 3, 4, 3)
+        states[0, 2] *= 1.001
+        states[1, 0] *= 1.002
+        with pytest.raises(NotNormalized) as error:
+            partial_trace_field(states)
+        reported = float(str(error.value).split()[2])
+        assert reported == pytest.approx(1.001**2, rel=1e-12)
 
 
 class TestPartialTranspose:
@@ -200,3 +224,17 @@ class TestPartialTranspose:
     def test_preserves_trace(self, rng):
         rho = random_hermitian(rng, 4)
         assert abs(np.trace(partial_transpose(rho)) - np.trace(rho)) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    def test_stack_equals_per_matrix_calls(self, rng, shape):
+        matrices = np.array(
+            [random_hermitian(rng, 4) for _ in range(int(np.prod(shape)))]
+        ).reshape(*shape, 4, 4)
+        stacked = partial_transpose(matrices)
+        for index in np.ndindex(shape):
+            assert np.array_equal(stacked[index], partial_transpose(matrices[index]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 3)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError):
+            partial_transpose(np.zeros(shape))
