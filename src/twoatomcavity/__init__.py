@@ -12,7 +12,6 @@ from .dynamics import (
     SeriesColumns,
     average_negativity,
     first_negativity_zero,
-    midline_crossing_count,
     negativity_zero_count,
     populations,
     time_series,
@@ -45,7 +44,6 @@ from .model import (
 from .propagator import (
     AuditReport,
     ElementAudit,
-    SubspacePropagator,
     audit_closed_form,
     propagate_closed_form,
     propagate_spectral,
@@ -66,7 +64,6 @@ __all__ = [
     "NotNormalized",
     "SeriesColumns",
     "SpectralQuantities",
-    "SubspacePropagator",
     "SystemParams",
     "TwoAtomAmplitudes",
     "TwoAtomCavityError",
@@ -77,7 +74,6 @@ __all__ = [
     "expm_i_hermitian",
     "first_negativity_zero",
     "full_hamiltonian",
-    "midline_crossing_count",
     "named_atomic_state",
     "negativity",
     "negativity_zero_count",

@@ -221,8 +221,6 @@ def _integer(name: str, value: object) -> int:
 
 
 def _parse_sweep(value: object) -> SweepSpec:
-    if isinstance(value, SweepSpec):
-        return value
     if isinstance(value, dict):
         try:
             spec = SweepSpec(

@@ -11,11 +11,13 @@ memory of the stacked arrays; no Fock space is truncated.  It returns the
 samples as columns (time, populations, negativity and, unless told not to
 classify, class labels), into which it writes each chunk.  The negativity
 statistics (:func:`first_negativity_zero`, :func:`negativity_zero_count`,
-:func:`average_negativity`) take the ``tau`` and ``negativity`` columns.
+:func:`average_negativity`) take the ``tau`` and ``negativity`` columns, or
+any sequences of the same values; a zero is a downward crossing of
+``NEGATIVITY_ZERO_THRESHOLD``.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +107,6 @@ def time_series(
     steps: int,
     *,
     labels: bool = True,
-    classifier_kwargs: dict | None = None,
 ) -> SeriesColumns:
     """Sample the reduced dynamics on a uniform grid over ``[0, tau_max]``.
 
@@ -128,7 +129,6 @@ def time_series(
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not (0.0 < tau_max < np.inf):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
-    classifier_kwargs = classifier_kwargs or {}
     atomic = _atomic_vector_of(initial)
     blocks = _populated_blocks(params, atomic)
     prepared = np.zeros((4, _LEVELS), dtype=np.complex128)
@@ -153,9 +153,7 @@ def time_series(
         populations_column[rows] = populations(rho)
         negativity_column[rows] = degree
         if label_column is not None:
-            label_column[rows] = entanglement._classify_stack(
-                rho, degree, **classifier_kwargs
-            )
+            label_column[rows] = entanglement._classify_stack(rho, degree)
     return SeriesColumns(taus, populations_column, negativity_column, label_column)
 
 
@@ -164,16 +162,16 @@ def _downward_crossings(gaps: np.ndarray) -> np.ndarray:
     return (gaps[:-1] > 0.0) & (gaps[1:] <= 0.0)
 
 
-def first_negativity_zero(
-    tau: np.ndarray, negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
-) -> float | None:
+def first_negativity_zero(tau: np.ndarray, negativity: np.ndarray) -> float | None:
     """First time the negativity falls back to zero, or ``None``.
 
-    A "zero" is a downward crossing of ``threshold``: the sampled negativity
-    sits above it at one grid point and at or below it at the next.  The
-    crossing time is linearly interpolated between the two grid points.
+    A "zero" is a downward crossing of ``NEGATIVITY_ZERO_THRESHOLD``: the
+    sampled negativity sits above it at one grid point and at or below it at
+    the next.  The crossing time is linearly interpolated between the two
+    grid points.
     """
-    gaps = negativity - threshold
+    tau = np.asarray(tau, dtype=np.float64)
+    gaps = np.asarray(negativity, dtype=np.float64) - NEGATIVITY_ZERO_THRESHOLD
     drops = np.flatnonzero(_downward_crossings(gaps))
     if drops.size == 0:
         return None
@@ -184,11 +182,10 @@ def first_negativity_zero(
     return tau_before + (tau_after - tau_before) * fraction
 
 
-def negativity_zero_count(
-    negativity: np.ndarray, threshold: float = NEGATIVITY_ZERO_THRESHOLD
-) -> int:
-    """Number of downward threshold crossings of the negativity."""
-    return int(np.count_nonzero(_downward_crossings(negativity - threshold)))
+def negativity_zero_count(negativity: np.ndarray) -> int:
+    """Number of downward ``NEGATIVITY_ZERO_THRESHOLD`` crossings of the negativity."""
+    gaps = np.asarray(negativity, dtype=np.float64) - NEGATIVITY_ZERO_THRESHOLD
+    return int(np.count_nonzero(_downward_crossings(gaps)))
 
 
 def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
@@ -198,28 +195,12 @@ def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
     the window length.  The interior samples are summed one by one in
     Python, not by ``np.sum``, whose pairwise summation rounds differently.
     """
+    tau = np.asarray(tau, dtype=np.float64)
     if len(tau) < 2:
         raise ValueError("need at least two samples to average")
-    values = negativity.tolist()
+    values = np.asarray(negativity, dtype=np.float64).tolist()
     dt = tau[1].item() - tau[0].item()
     integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
     window = tau[-1].item() - tau[0].item()
     return integral / window
 
-
-def midline_crossing_count(values: Iterable[float], midline: float = 0.5) -> int:
-    """Count strict sign changes of ``values - midline``.
-
-    Used to quantify how often a population oscillates through its midpoint.
-    """
-    signs = [value - midline for value in values]
-    count = 0
-    previous = None
-    for gap in signs:
-        if gap == 0.0:
-            continue
-        current = gap > 0.0
-        if previous is not None and current != previous:
-            count += 1
-        previous = current
-    return count

@@ -5,7 +5,7 @@ minus one: zero for separable two-qubit states and one for maximally
 entangled ones.  The classifier matches the dominant eigenvector of the
 reduced state against a small family of entangled-state templates; it is
 deliberately coarse (the templates describe qualitative state shapes), and
-all of its thresholds are exposed as keyword arguments.
+its thresholds are the module constants below.
 
 :func:`negativity` takes a single density matrix or any stack of them: the
 time series computes each sample's degree once and hands it to the stacked
@@ -13,7 +13,7 @@ classifier (``_classify_stack``).  Of the states past the separability gate,
 the classifier first rules out, without an eigendecomposition, every state
 that provably gets no template label (``_may_match``): by the purity bound,
 the largest eigenvalue is at most the Frobenius norm; by the span bound, each
-template fidelity is at most ``tr(P rho) / max(purity_threshold, 1/4)`` for
+template fidelity is at most ``tr(P rho) / max(PURITY_THRESHOLD, 1/4)`` for
 the template's projector ``P``.  It diagonalizes only the rest and fits every
 template to all of them at once (``_fit_stack``).  :func:`classify` takes one
 matrix, diagonalizes it past the gate without the bounds and reports the
@@ -207,14 +207,12 @@ def _fit_template(states: np.ndarray, template: _Template) -> tuple[np.ndarray, 
     return fidelity, coefficients / template.scale
 
 
-def _constraint_satisfied(
-    template: _Template, coefficients: np.ndarray, floor: float
-) -> np.ndarray:
+def _constraint_satisfied(template: _Template, coefficients: np.ndarray) -> np.ndarray:
     magnitudes = np.abs(coefficients)
     if template.constraint == "all":
-        return np.all(magnitudes >= floor, axis=1)
+        return np.all(magnitudes >= COEFFICIENT_FLOOR, axis=1)
     if template.constraint == "any_first_two":
-        return np.max(magnitudes[:, :2], axis=1) >= floor
+        return np.max(magnitudes[:, :2], axis=1) >= COEFFICIENT_FLOOR
     return np.ones(len(coefficients), dtype=bool)
 
 
@@ -228,8 +226,12 @@ _SPAN_PROJECTORS = np.stack(
     [(template.basis.T @ template.basis).ravel() for template in _TEMPLATES], axis=1
 )
 
+#: Largest ``tr(P rho)`` over the template projectors below which no template
+#: can claim a state (the span bound of ``_may_match``).
+_SPAN_REACH = max(PURITY_THRESHOLD, 0.25) * (1.0 - RESIDUAL_THRESHOLD**2)
 
-def _may_match(rho: np.ndarray, purity_threshold: float, residual_threshold: float) -> np.ndarray:
+
+def _may_match(rho: np.ndarray) -> np.ndarray:
     """Mask ``(batch,)`` of the states some template could still claim.
 
     A false entry is a certificate, without an eigendecomposition, that the
@@ -237,32 +239,27 @@ def _may_match(rho: np.ndarray, purity_threshold: float, residual_threshold: flo
     matrices of unit trace:
 
     - *purity*: the largest eigenvalue is at most the Frobenius norm, so a
-      norm below ``purity_threshold`` fails the purity gate;
+      norm below ``PURITY_THRESHOLD`` fails the purity gate;
     - *span*: each template fidelity of the dominant eigenvector ``v`` is at
       most ``<v|P|v> <= tr(P rho) / lambda_max`` for the template's
       projector ``P``, and a state past the purity gate has
-      ``lambda_max >= max(purity_threshold, 1/4)``; a match needs a fidelity
-      above ``1 - residual_threshold^2``, so no template can claim a state
-      whose every ``tr(P rho)`` lies below ``max(purity_threshold, 1/4)``
-      times that.
+      ``lambda_max >= max(PURITY_THRESHOLD, 1/4)``; a match needs a fidelity
+      above ``1 - RESIDUAL_THRESHOLD^2``, so no template can claim a state
+      whose every ``tr(P rho)`` lies below ``_SPAN_REACH``.
 
     Each bound gives up ``_CERTIFICATE_MARGIN``, and each comparison is
-    negated, so a NaN threshold certifies nothing.
+    negated, so a state with a NaN entry is passed on to the
+    eigendecomposition and its checks.
     """
-    purity, residual = float(purity_threshold), float(residual_threshold)
     flat = rho.view(np.float64).reshape(len(rho), 32)
     norm = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     span = np.max(flat[:, ::2] @ _SPAN_PROJECTORS, axis=1)
-    reach = max(purity, 0.25) * (1.0 - residual * residual)
-    return ~(norm < purity - _CERTIFICATE_MARGIN) & ~(span < reach - _CERTIFICATE_MARGIN)
+    return ~(norm < PURITY_THRESHOLD - _CERTIFICATE_MARGIN) & ~(
+        span < _SPAN_REACH - _CERTIFICATE_MARGIN
+    )
 
 
-def _fit_stack(
-    rho: np.ndarray,
-    purity_threshold: float,
-    residual_threshold: float,
-    coefficient_floor: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 2-4 of :func:`classify` for states past the separability gate.
 
     Diagonalizes every state and fits every template to all of their
@@ -279,16 +276,14 @@ def _fit_stack(
     fidelities = np.zeros(count)
     coefficients = np.zeros((count, _MAX_COEFFICIENTS))
     eigenvalues, eigenvectors = linalg._eigh_stack(rho)
-    fitted = np.flatnonzero(~(eigenvalues[:, -1] < purity_threshold))
+    fitted = np.flatnonzero(~(eigenvalues[:, -1] < PURITY_THRESHOLD))
     states = eigenvectors[fitted, :, -1]
     open_ = np.ones(len(fitted), dtype=bool)
     best = np.zeros(len(fitted))
     for template in _TEMPLATES:
         fidelity, named = _fit_template(states, template)
         residual = np.sqrt(np.maximum(0.0, 1.0 - fidelity))
-        match = open_ & (residual < residual_threshold) & _constraint_satisfied(
-            template, named, coefficient_floor
-        )
+        match = open_ & (residual < RESIDUAL_THRESHOLD) & _constraint_satisfied(template, named)
         best = np.fmax(best, fidelity)
         rows = fitted[match]
         labels[rows] = CLASS_LABELS.index(template.label)
@@ -299,15 +294,7 @@ def _fit_stack(
     return labels, fidelities, coefficients
 
 
-def _classify_stack(
-    rho: np.ndarray,
-    degree: np.ndarray,
-    *,
-    separable_threshold: float = SEPARABLE_THRESHOLD,
-    purity_threshold: float = PURITY_THRESHOLD,
-    residual_threshold: float = RESIDUAL_THRESHOLD,
-    coefficient_floor: float = COEFFICIENT_FLOOR,
-) -> np.ndarray:
+def _classify_stack(rho: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """Labels ``(batch,)``, indices into ``CLASS_LABELS``, of a stack of states.
 
     Follows the decision order of :func:`classify` for positive semidefinite
@@ -315,35 +302,26 @@ def _classify_stack(
     past the separability gate, only those that :func:`_may_match` cannot
     rule out are diagonalized and fitted.
     """
-    labels = np.where(degree < separable_threshold, _SEPARABLE, _UNCLASSIFIED)
+    labels = np.where(degree < SEPARABLE_THRESHOLD, _SEPARABLE, _UNCLASSIFIED)
     gated = np.flatnonzero(labels != _SEPARABLE)
-    fitted = gated[_may_match(rho[gated], purity_threshold, residual_threshold)]
+    fitted = gated[_may_match(rho[gated])]
     if fitted.size:
-        labels[fitted] = _fit_stack(
-            rho[fitted], purity_threshold, residual_threshold, coefficient_floor
-        )[0]
+        labels[fitted] = _fit_stack(rho[fitted])[0]
     return labels
 
 
-def classify(
-    rho: np.ndarray,
-    *,
-    separable_threshold: float = SEPARABLE_THRESHOLD,
-    purity_threshold: float = PURITY_THRESHOLD,
-    residual_threshold: float = RESIDUAL_THRESHOLD,
-    coefficient_floor: float = COEFFICIENT_FLOOR,
-) -> ClassMatch:
+def classify(rho: np.ndarray) -> ClassMatch:
     """Classify the instantaneous two-atom state.
 
     Decision order:
 
-    1. entanglement degree below ``separable_threshold`` -> ``separable``;
-    2. dominant eigenvalue of the state below ``purity_threshold`` ->
+    1. entanglement degree below ``SEPARABLE_THRESHOLD`` -> ``separable``;
+    2. dominant eigenvalue of the state below ``PURITY_THRESHOLD`` ->
        ``mixed_unclassified`` (too mixed to read a template off);
     3. otherwise fit the dominant eigenvector to each template in the fixed
        label order; the first template with fit residual below
-       ``residual_threshold`` whose distinguishing coefficients clear
-       ``coefficient_floor`` wins;
+       ``RESIDUAL_THRESHOLD`` whose distinguishing coefficients clear
+       ``COEFFICIENT_FLOOR`` wins;
     4. no template fits -> ``mixed_unclassified``.
 
     The template family is nested (later templates generalize earlier ones),
@@ -354,11 +332,9 @@ def classify(
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if negativity(rho).value < separable_threshold:
+    if negativity(rho).value < SEPARABLE_THRESHOLD:
         return ClassMatch(label="separable", fidelity=0.0, template_params={})
-    labels, fidelities, coefficients = _fit_stack(
-        rho[None], purity_threshold, residual_threshold, coefficient_floor
-    )
+    labels, fidelities, coefficients = _fit_stack(rho[None])
     label = CLASS_LABELS[labels[0]]
     template = _TEMPLATE_BY_LABEL.get(label)
     names = () if template is None else template.coefficient_names

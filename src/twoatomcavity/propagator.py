@@ -1,18 +1,19 @@
 """Time-evolution operators, computed two ways and audited.
 
-The production path is the *spectral* propagator: eigendecompose the
-invariant-subspace Hamiltonian and exponentiate the spectrum.  The
-*closed-form* path evaluates a set of analytic element formulas for the same
-subspace propagator; those formulas carry known transcription defects, so
-they are kept under audit rather than used for production.  The closed form
-comes in two variants:
+The *spectral* propagator eigendecomposes the invariant-subspace Hamiltonian
+and exponentiates the spectrum; it is the audit's reference.  The
+*closed-form* propagator evaluates a set of analytic element formulas for the
+same subspace propagator; those formulas carry known transcription defects,
+so they are kept under audit.  (The series themselves come from
+:func:`twoatomcavity.dynamics.time_series`, which uses neither.)  Both return
+the 4x4 matrix.  The closed form comes in two variants:
 
 - ``strict``: the element formulas evaluated verbatim;
 - ``corrected``: two repairs applied — the phase factor of element (1,1)
   uses each root's own exponent instead of a single frozen one, and the
   root-dependent weights are reinstated in elements (1,2)/(1,3)/(2,1)/(3,1).
 
-The audit compares either variant element-by-element against the spectral
+The audit compares both variants element-by-element against the spectral
 oracle over a time grid and reports a match/mismatch verdict per element.
 """
 from __future__ import annotations
@@ -42,30 +43,17 @@ CLOSED_FORM_MODES = ("strict", "corrected")
 ELEMENT_IDS = tuple(f"u{row}{col}" for row in range(1, 5) for col in range(1, 5))
 
 
-@dataclass(frozen=True)
-class SubspacePropagator:
-    """A 4x4 propagator on the invariant subspace at scaled time ``tau``.
-
-    ``method`` records how the matrix was obtained: ``spectral`` or
-    ``closed_form``.  The spectral propagator is unitary within 1e-10; the
-    closed form is under audit and may not be.
-    """
-
-    u: np.ndarray
-    tau: float
-    method: str
-
-
-def propagate_spectral(params: SystemParams, tau: float) -> SubspacePropagator:
-    """Subspace propagator via eigendecomposition (production path)."""
-    u = linalg.expm_i_hermitian(subspace_hamiltonian(params), tau)
-    return SubspacePropagator(u=u, tau=float(tau), method="spectral")
+def propagate_spectral(params: SystemParams, tau: float) -> np.ndarray:
+    """4x4 subspace propagator at ``tau`` via eigendecomposition, unitary within 1e-10."""
+    return linalg.expm_i_hermitian(subspace_hamiltonian(params), tau)
 
 
 def propagate_closed_form(
     params: SystemParams, tau: float, mode: str = "corrected"
-) -> SubspacePropagator:
-    """Subspace propagator from the analytic element formulas.
+) -> np.ndarray:
+    """4x4 subspace propagator at ``tau`` from the analytic element formulas.
+
+    The closed form is under audit and may not be unitary.
 
     Args:
         params: system parameters (roots must be non-degenerate).
@@ -84,8 +72,7 @@ def propagate_closed_form(
     """
     if mode not in CLOSED_FORM_MODES:
         raise ValueError(f"unknown closed-form mode {mode!r}; choose from {CLOSED_FORM_MODES}")
-    u = _closed_form_matrix(spectral_quantities(params), float(params.delta), tau, mode)
-    return SubspacePropagator(u=u, tau=float(tau), method="closed_form")
+    return _closed_form_matrix(spectral_quantities(params), float(params.delta), tau, mode)
 
 
 def _closed_form_matrix(
@@ -158,8 +145,9 @@ class AuditReport:
 
     ``elements`` holds one entry per matrix element (16 in total), each with
     the maximum deviation over ``tau_grid`` and a match/mismatch verdict for
-    every audited mode.  ``findings`` collects free-text observations such as
-    the identity-at-zero check.  ``fock_cutoff`` is reported as
+    each of ``CLOSED_FORM_MODES``.  ``findings`` collects free-text
+    observations such as the identity-at-zero check.  ``fock_cutoff`` is
+    reported as
     ``n_photon + DEFAULT_CUTOFF_MARGIN``, the truncation of
     :func:`twoatomcavity.model.full_hamiltonian`; the audit truncates nothing.
     """
@@ -236,14 +224,10 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def audit_closed_form(
-    params: SystemParams,
-    tau_grid: Sequence[float],
-    modes: Sequence[str] = CLOSED_FORM_MODES,
-) -> AuditReport:
+def audit_closed_form(params: SystemParams, tau_grid: Sequence[float]) -> AuditReport:
     """Audit the closed-form propagator against the spectral oracle.
 
-    For every requested mode and every grid time, both propagators are
+    For each of ``CLOSED_FORM_MODES`` and every grid time, both propagators are
     evaluated and the element-wise absolute deviation recorded; each of the
     16 elements receives its maximum deviation and a verdict (``match`` when
     the deviation stays at or below ``AUDIT_TOL``).  Non-finite deviations
@@ -251,23 +235,19 @@ def audit_closed_form(
 
     Raises:
         DegenerateRoots: propagated from the closed form.
-        ValueError: on an empty grid or unknown mode.
+        ValueError: on an empty grid.
     """
     tau_values = [float(tau) for tau in tau_grid]
     if not tau_values:
         raise ValueError("tau_grid must contain at least one time")
-    modes = tuple(modes)
-    for mode in modes:
-        if mode not in CLOSED_FORM_MODES:
-            raise ValueError(f"unknown closed-form mode {mode!r}")
     # The roots, weights and subspace eigensystem do not depend on tau.
     sq = spectral_quantities(params)
     system = linalg.eig_hermitian(subspace_hamiltonian(params))
-    deviations = {mode: np.zeros((4, 4)) for mode in modes}
+    deviations = {mode: np.zeros((4, 4)) for mode in CLOSED_FORM_MODES}
     zero_snapshots: dict[str, np.ndarray] = {}
     for tau in tau_values:
         reference = system.unitary(tau)
-        for mode in modes:
+        for mode in CLOSED_FORM_MODES:
             closed = _closed_form_matrix(sq, float(params.delta), tau, mode)
             delta_elements = np.abs(closed - reference)
             delta_elements[~np.isfinite(delta_elements)] = np.inf
@@ -278,7 +258,7 @@ def audit_closed_form(
     for flat_index, element_id in enumerate(ELEMENT_IDS):
         row, col = divmod(flat_index, 4)
         results = {}
-        for mode in modes:
+        for mode in CLOSED_FORM_MODES:
             deviation = float(deviations[mode][row, col])
             verdict = "match" if deviation <= AUDIT_TOL else "mismatch"
             results[mode] = ElementModeResult(max_deviation=deviation, verdict=verdict)
@@ -318,7 +298,7 @@ def audit_closed_form(
         n_photon=params.n_photon,
         fock_cutoff=params.n_photon + DEFAULT_CUTOFF_MARGIN,
         tau_grid=tuple(tau_values),
-        modes=modes,
+        modes=CLOSED_FORM_MODES,
         tolerance=AUDIT_TOL,
         elements=tuple(elements),
         findings=tuple(findings),

@@ -17,9 +17,13 @@ routes is meaningful:
   negativity (vs. the full space and a 4x4 partial-transpose spectrum);
 - record-loop negativity statistics, one Python loop over sampled records
   (vs. the package's array statistics, which must match them bit for bit);
-- the classifier's per-matrix decision with its templates declared again,
-  diagonalizing every state past the separability gate (vs. the package's
-  stacked classifier, which rules states out before diagonalizing them).
+- the classifier's per-matrix decision with its templates and thresholds
+  declared again, diagonalizing every state past the separability gate (vs.
+  the package's stacked classifier, which rules states out before
+  diagonalizing them).
+
+It also holds ``midline_crossing_count``, the oscillation count of
+acceptance criterion 07.
 
 Nothing here imports the package under test.
 """
@@ -339,6 +343,24 @@ def first_downward_crossing(taus, values, threshold: float) -> float | None:
     return float(np.interp(threshold, [values[k + 1], values[k]], [taus[k + 1], taus[k]]))
 
 
+def midline_crossing_count(values) -> int:
+    """Strict sign changes of ``values - 0.5``; samples exactly at 0.5 are skipped.
+
+    Counts how often a population oscillates through its midpoint.
+    """
+    count = 0
+    previous = None
+    for value in values:
+        gap = value - 0.5
+        if gap == 0.0:
+            continue
+        current = gap > 0.0
+        if previous is not None and current != previous:
+            count += 1
+        previous = current
+    return count
+
+
 def exact_excited_pair_series(
     delta: float, n_photon: int, tau_max: float, steps: int, dps: int = 40
 ) -> list[tuple]:
@@ -441,14 +463,13 @@ def _classifier_templates() -> tuple:
 #: must clear the floor.
 CLASSIFIER_TEMPLATES = _classifier_templates()
 
+#: The classifier's thresholds: entanglement degree below which a state is
+#: separable, dominant eigenvalue needed for a fit, largest fit residual of a
+#: match, and smallest coefficient that counts as used.
+CLASSIFIER_THRESHOLDS = {"separable": 0.01, "purity": 0.9, "residual": 0.05, "floor": 0.05}
 
-def record_classify(
-    rho: np.ndarray,
-    separable_threshold: float = 0.01,
-    purity_threshold: float = 0.9,
-    residual_threshold: float = 0.05,
-    coefficient_floor: float = 0.05,
-) -> tuple[str, float, dict[str, float]]:
+
+def record_classify(rho: np.ndarray) -> tuple[str, float, dict[str, float]]:
     """The classifier's decision for one matrix: label, fidelity, coefficients.
 
     Every state past the separability gate is diagonalized and every template
@@ -457,12 +478,13 @@ def record_classify(
     step repeats the package's arithmetic on arrays of the same shapes, so
     the results agree bit for bit.
     """
+    thresholds = CLASSIFIER_THRESHOLDS
     rho = np.asarray(rho, dtype=np.complex128)
     pt_eigenvalues, _ = np.linalg.eigh(brute_partial_transpose_second(rho))
-    if np.sum(np.abs(pt_eigenvalues)) - 1.0 < separable_threshold:
+    if np.sum(np.abs(pt_eigenvalues)) - 1.0 < thresholds["separable"]:
         return "separable", 0.0, {}
     eigenvalues, eigenvectors = np.linalg.eigh(rho)
-    if eigenvalues[-1] < purity_threshold:
+    if eigenvalues[-1] < thresholds["purity"]:
         return "mixed_unclassified", 0.0, {}
     state = eigenvectors[None, :, -1].copy()  # a contiguous row, as the package fits
     best = 0.0
@@ -479,12 +501,12 @@ def record_classify(
         coefficients = coefficients / scale
         magnitudes = np.abs(coefficients)
         if constraint == "all":
-            used = bool(np.all(magnitudes >= coefficient_floor))
+            used = bool(np.all(magnitudes >= thresholds["floor"]))
         elif constraint == "any_first_two":
-            used = bool(np.max(magnitudes[:2]) >= coefficient_floor)
+            used = bool(np.max(magnitudes[:2]) >= thresholds["floor"])
         else:
             used = True
-        if np.sqrt(max(0.0, 1.0 - fidelity)) < residual_threshold and used:
+        if np.sqrt(max(0.0, 1.0 - fidelity)) < thresholds["residual"] and used:
             return label, fidelity, dict(zip(names, coefficients.tolist()))
         best = float(np.fmax(best, fidelity))
     return "mixed_unclassified", best, {}

@@ -19,7 +19,6 @@ from twoatomcavity import cli
 from twoatomcavity.dynamics import (
     NEGATIVITY_ZERO_THRESHOLD,
     first_negativity_zero,
-    midline_crossing_count,
     time_series,
 )
 from twoatomcavity.entanglement import negativity
@@ -34,6 +33,7 @@ from oracles import (
     FullSpaceOracle,
     brute_negativity,
     first_downward_crossing,
+    midline_crossing_count,
     random_local_unitary,
     random_product_atomic_state,
     symmetric_ladder_negativities,
@@ -98,7 +98,7 @@ def test_criterion_01_unitarity_and_oracle_equivalence():
             params = SystemParams(delta=delta, n_photon=n)
             oracle = FullSpaceOracle(delta, n)
             for tau in TAU_GRID:
-                u = propagate_spectral(params, tau).u
+                u = propagate_spectral(params, tau)
                 defect = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
                 worst_unitarity = max(worst_unitarity, defect)
                 restricted = oracle.restricted_propagator(tau)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from twoatomcavity import entanglement
 from twoatomcavity.entanglement import (
     CLASS_LABELS,
+    COEFFICIENT_FLOOR,
     PURITY_THRESHOLD,
     RESIDUAL_THRESHOLD,
+    SEPARABLE_THRESHOLD,
     ClassMatch,
     NegativityResult,
     classify,
@@ -23,6 +25,7 @@ from twoatomcavity.model import named_atomic_state
 
 from oracles import (
     CLASSIFIER_TEMPLATES,
+    CLASSIFIER_THRESHOLDS,
     brute_negativity,
     random_local_unitary,
     random_product_atomic_state,
@@ -216,13 +219,6 @@ class TestClassifyTemplates:
         state = normalized([0.03, 1.0, 1.0, 0.0])
         assert classify(pure_rho(state)).label == "psi1_bell_like"
 
-    def test_threshold_overrides(self):
-        rho = werner_state(0.95)
-        strict = classify(rho, purity_threshold=0.99)
-        assert strict.label == "mixed_unclassified"
-        relaxed = classify(rho, separable_threshold=2.0)
-        assert relaxed.label == "separable"
-
     def test_returns_named_match(self):
         assert isinstance(classify(np.eye(4) / 4.0), ClassMatch)
 
@@ -232,11 +228,11 @@ class TestClassifyTemplates:
             classify(np.ones(shape) / 4.0)
 
 
-def stack_labels(states, **thresholds) -> list[str]:
+def stack_labels(states) -> list[str]:
     """Labels of ``_classify_stack`` for a list of matrices, as names."""
     stack = np.array(states, dtype=np.complex128)
     return [CLASS_LABELS[index] for index in entanglement._classify_stack(
-        stack, negativity(stack).value, **thresholds).tolist()]
+        stack, negativity(stack).value).tolist()]
 
 
 class TestCertificates:
@@ -245,17 +241,13 @@ class TestCertificates:
     def test_rules_out_too_mixed_and_template_free_states(self):
         singlet = pure_rho(named_atomic_state("singlet"))
         states = np.array([werner_state(0.5), singlet, 0.95 * singlet + 0.05 * np.eye(4) / 4])
-        may_match = entanglement._may_match(states, PURITY_THRESHOLD, RESIDUAL_THRESHOLD)
-        assert may_match.tolist() == [False, False, False]
+        assert entanglement._may_match(states).tolist() == [False, False, False]
         assert stack_labels(states) == ["mixed_unclassified"] * 3
 
     def test_keeps_every_template_state(self):
         states = [pure_rho(normalized(basis.T @ np.ones(len(names))))
                   for _, names, basis, _, _ in CLASSIFIER_TEMPLATES]
-        may_match = entanglement._may_match(
-            np.array(states, dtype=np.complex128), PURITY_THRESHOLD, RESIDUAL_THRESHOLD
-        )
-        assert may_match.all()
+        assert entanglement._may_match(np.array(states, dtype=np.complex128)).all()
 
     def test_mixed_template_state_keeps_its_label(self):
         # tr(P rho) = 0.9475 lies below 1 - residual^2 = 0.9975 but above
@@ -265,14 +257,16 @@ class TestCertificates:
         assert classify(rho).label == "psi1_bell_like"
         assert stack_labels([rho]) == ["psi1_bell_like"]
 
-    def test_nan_thresholds_rule_out_nothing_they_bound(self):
-        werner = werner_state(0.5)  # ruled out by its norm
-        singlet = pure_rho(named_atomic_state("singlet"))  # by its template overlaps
-        states = np.array([werner, singlet], dtype=np.complex128)
-        assert entanglement._may_match(states, math.nan, RESIDUAL_THRESHOLD).tolist() == [
-            True, True]
-        assert entanglement._may_match(states, PURITY_THRESHOLD, math.nan).tolist() == [
-            False, True]
+    def test_nan_state_is_not_ruled_out(self):
+        # Left to the eigendecomposition, whose checks reject it.
+        states = np.array([werner_state(0.5)], dtype=np.complex128)  # ruled out by its norm
+        states[0, 1, 2] = math.nan
+        assert entanglement._may_match(states).tolist() == [True]
+
+
+def test_oracle_thresholds_are_the_package_constants():
+    assert CLASSIFIER_THRESHOLDS == {"separable": SEPARABLE_THRESHOLD, "purity": PURITY_THRESHOLD,
+                                     "residual": RESIDUAL_THRESHOLD, "floor": COEFFICIENT_FLOOR}
 
 
 def _span(rho: np.ndarray) -> float:
@@ -283,13 +277,8 @@ def _span(rho: np.ndarray) -> float:
 
 _SINGLET = pure_rho(named_atomic_state("singlet"))
 
-_THRESHOLD_OVERRIDES = [0.0, 1.5, -0.5, math.inf, -math.inf, math.nan]
-
-
-def _threshold(default: float):
-    return st.one_of(
-        st.just(default), st.sampled_from(_THRESHOLD_OVERRIDES), st.floats(0.0, 1.0)
-    )
+#: Largest template overlap below which the span bound rules a state out.
+_REACH = max(PURITY_THRESHOLD, 0.25) * (1.0 - RESIDUAL_THRESHOLD**2)
 
 
 @st.composite
@@ -322,41 +311,31 @@ def _template_state(draw):
 
 @st.composite
 def _classifier_case(draw):
-    """A matrix of unit trace and the thresholds to classify it with."""
-    thresholds = {
-        "separable_threshold": draw(_threshold(entanglement.SEPARABLE_THRESHOLD)),
-        "purity_threshold": draw(_threshold(PURITY_THRESHOLD)),
-        "residual_threshold": draw(_threshold(RESIDUAL_THRESHOLD)),
-        "coefficient_floor": draw(_threshold(entanglement.COEFFICIENT_FLOOR)),
-    }
-    purity, residual = thresholds["purity_threshold"], thresholds["residual_threshold"]
+    """A matrix of unit trace, at times on the edge of a classifier bound."""
     kind = draw(st.sampled_from(
         ["pure", "mixture", "singlet", "template", "purity_edge", "span_edge"]))
     weight = draw(st.floats(0.8, 1.0))
     offset = draw(st.sampled_from([-1e-8, -1e-12, 0.0, 1e-12, 1e-8]))
     if kind == "pure":
-        return pure_rho(draw(_unit_vector())), thresholds
+        return pure_rho(draw(_unit_vector()))
     if kind == "mixture":
-        return draw(_mixture()), thresholds
+        return draw(_mixture())
     if kind == "singlet":
-        return weight * _SINGLET + (1.0 - weight) * draw(_mixture()), thresholds
+        return weight * _SINGLET + (1.0 - weight) * draw(_mixture())
     template = weight * pure_rho(draw(_template_state())) + (1.0 - weight) * draw(_mixture())
     if kind == "template":
-        return template, thresholds
+        return template
     if kind == "purity_edge":
         # Dominant eigenvalue at the purity threshold plus the offset.
-        level = (purity if 0.3 <= purity <= 1.0 else PURITY_THRESHOLD) + offset
-        level = min(level, 1.0)
+        level = PURITY_THRESHOLD + offset
         vector = draw(st.one_of(_template_state(), _unit_vector()))
         rest = (1.0 - level) / 3.0
-        return level * pure_rho(vector) + rest * (np.eye(4) - pure_rho(vector)), thresholds
+        return level * pure_rho(vector) + rest * (np.eye(4) - pure_rho(vector))
     # Mixed with the singlet until the largest template overlap reaches the
     # span bound plus the offset.
-    reach = max(purity if math.isfinite(purity) else PURITY_THRESHOLD, 0.25) * (
-        1.0 - (residual if math.isfinite(residual) else RESIDUAL_THRESHOLD) ** 2)
-    target = reach + offset
+    target = _REACH + offset
     if not _span(_SINGLET) < target < _span(template):
-        return template, thresholds
+        return template
     low, high = 0.0, 1.0
     for _ in range(80):
         middle = 0.5 * (low + high)
@@ -364,23 +343,16 @@ def _classifier_case(draw):
             low = middle
         else:
             high = middle
-    return (1.0 - low) * template + low * _SINGLET, thresholds
+    return (1.0 - low) * template + low * _SINGLET
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cases=st.lists(_classifier_case(), min_size=1, max_size=6))
-@example(cases=[(werner_state(0.95), {}), (pure_rho(normalized([0.6, 0.6j, 0.0, 0.5])), {})])
+@example(cases=[werner_state(0.95), pure_rho(normalized([0.6, 0.6j, 0.0, 0.5]))])
 def test_classifier_matches_the_per_matrix_oracle(cases):
     # The stacked labels (certificates, then a fit of the rest) and every
     # field of classify() equal the decision that diagonalizes each state.
-    for rho, thresholds in cases:
-        expected = record_classify(rho, **thresholds)
-        match = classify(rho, **thresholds)
-        assert (match.label, match.fidelity, match.template_params) == expected
-    by_thresholds: dict[tuple, list] = {}
-    for rho, thresholds in cases:
-        by_thresholds.setdefault(tuple(sorted(thresholds.items())), []).append(rho)
-    for key, states in by_thresholds.items():
-        thresholds = dict(key)
-        assert stack_labels(states, **thresholds) == [
-            record_classify(rho, **thresholds)[0] for rho in states]
+    for rho in cases:
+        match = classify(rho)
+        assert (match.label, match.fidelity, match.template_params) == record_classify(rho)
+    assert stack_labels(cases) == [record_classify(rho)[0] for rho in cases]

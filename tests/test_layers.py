@@ -8,12 +8,16 @@ layer it does work in, without a byte of its output changing.
 """
 from __future__ import annotations
 
+import importlib.util
+import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from twoatomcavity import cli
+from twoatomcavity.dynamics import _CHUNK_SAMPLES
 
 #: (module, function) of each wrapped layer.
 LAYERS = (
@@ -53,20 +57,26 @@ def count_layer_calls(patch: pytest.MonkeyPatch) -> Counter:
     return calls
 
 
-# 300 steps are three 128-sample chunks; a sweep point of 201 steps is two.
+SERIES_STEPS, SWEEP_STEPS, SWEEP_POINTS = 300, 201, 3
 SERIES = ["--initial", "eg", "--delta", "0.37", "--n-photon", "3", "--tau-max", "3.7",
-          "--steps", "300"]
-SWEEP = ["--sweep", "delta:0.1:1.0:3", "--initial", "eg", "--steps", "201"]
+          "--steps", str(SERIES_STEPS)]
+SWEEP = ["--sweep", f"delta:0.1:1.0:{SWEEP_POINTS}", "--initial", "eg",
+         "--steps", str(SWEEP_STEPS)]
+
+#: Each time_series call makes one chunk call per ``_CHUNK_SAMPLES`` samples.
+SERIES_CHUNKS = math.ceil(SERIES_STEPS / _CHUNK_SAMPLES)
+SWEEP_CHUNKS = SWEEP_POINTS * math.ceil(SWEEP_STEPS / _CHUNK_SAMPLES)
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (SERIES, {"time_series": 1, "partial_trace_field": 3, "partial_transpose": 3,
-                  "negativity": 3}),
-        (SWEEP, {"time_series": 3, "partial_trace_field": 6, "partial_transpose": 6,
-                 "negativity": 6, "first_negativity_zero": 3, "negativity_zero_count": 3,
-                 "average_negativity": 3}),
+        (SERIES, {"time_series": 1, "partial_trace_field": SERIES_CHUNKS,
+                  "partial_transpose": SERIES_CHUNKS, "negativity": SERIES_CHUNKS}),
+        (SWEEP, {"time_series": SWEEP_POINTS, "partial_trace_field": SWEEP_CHUNKS,
+                 "partial_transpose": SWEEP_CHUNKS, "negativity": SWEEP_CHUNKS,
+                 "first_negativity_zero": SWEEP_POINTS, "negativity_zero_count": SWEEP_POINTS,
+                 "average_negativity": SWEEP_POINTS}),
     ],
     ids=["series", "sweep"],
 )
@@ -79,3 +89,25 @@ def test_cli_runs_reach_every_wrapped_layer(tmp_path, argv, expected):
         assert cli.main([*argv, "--output", str(traced)]) == 0
     assert dict(calls) == expected
     assert traced.read_bytes() == plain.read_bytes()
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # The tracer of bench/spans.py looks up each name it traces in the
+    # package; removing one of them breaks every traced benchmark run.
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {
+        (module, name): getattr(sys.modules[f"twoatomcavity.{module}"], name)
+        for module, name, _ in spans.TRACED
+    }
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (module, name), original in originals.items():
+            assert getattr(sys.modules[f"twoatomcavity.{module}"], name) is not original
+    finally:
+        tracer.uninstall()
+    for (module, name), original in originals.items():
+        assert getattr(sys.modules[f"twoatomcavity.{module}"], name) is original
