@@ -43,7 +43,6 @@ from .model import (
 )
 from .propagator import (
     AuditReport,
-    ElementAudit,
     audit_closed_form,
     propagate_closed_form,
     propagate_spectral,
@@ -57,7 +56,6 @@ __all__ = [
     "ConvergenceFailure",
     "DegenerateRoots",
     "DomainError",
-    "ElementAudit",
     "HermitianEigensystem",
     "NegativityResult",
     "NotHermitian",

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,12 +107,10 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter scan: which parameter, the range, and the point count."""
+    """One-parameter scan: which parameter and the values it takes, in order."""
 
     param: str
-    start: float
-    stop: float
-    count: int
+    values: tuple[float, ...] | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,7 @@ class RunConfig:
     """Fully resolved configuration for one CLI invocation."""
 
     mode: str
-    delta: float
-    n_photon: int
+    params: SystemParams
     initial: str
     amplitudes: tuple[complex, complex, complex, complex] | None
     tau_max: float
@@ -171,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_complex(value: object) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_real("amplitude", value[0]), _real("amplitude", value[1]))
     if isinstance(value, str):
         try:
             return complex(value.strip().replace(" ", ""))
@@ -204,7 +201,7 @@ def _real(name: str, value: object) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
@@ -221,38 +218,43 @@ def _integer(name: str, value: object) -> int:
 
 
 def _parse_sweep(value: object) -> SweepSpec:
-    if isinstance(value, dict):
-        try:
-            spec = SweepSpec(
-                param=str(value["param"]),
-                start=_real("sweep start", value["start"]),
-                stop=_real("sweep stop", value["stop"]),
-                count=_integer("sweep count", value["count"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"bad sweep specification {value!r}") from exc
-    elif isinstance(value, str):
+    """The sweep's parameter and values from ``param:start:stop:count`` or a dict."""
+    keys = ("param", "start", "stop", "count")
+    if isinstance(value, str):
         parts = value.split(":")
         if len(parts) != 4:
             raise ConfigError(
                 f"sweep must look like param:start:stop:count, got {value!r}"
             )
-        try:
-            spec = SweepSpec(
-                param=parts[0], start=float(parts[1]), stop=float(parts[2]), count=int(parts[3])
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep specification {value!r}") from exc
-    else:
+        value = dict(zip(keys, parts))
+    if not (isinstance(value, dict) and all(key in value for key in keys)):
         raise ConfigError(f"bad sweep specification {value!r}")
-    if spec.param not in SWEEP_PARAMS:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {spec.param!r}")
-    if spec.count < 2:
-        raise ConfigError(f"sweep count must be >= 2, got {spec.count}")
-    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
-        raise ConfigError(f"sweep start and stop must be finite, got {value!r}")
-    _sweep_values(spec)  # rejects negative or repeated photon numbers
-    return spec
+    param = str(value["param"])
+    start = _real("sweep start", value["start"])
+    stop = _real("sweep stop", value["stop"])
+    count = _integer("sweep count", value["count"])
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
+    if count < 2:
+        raise ConfigError(f"sweep count must be >= 2, got {count}")
+    # Finite ends too far apart would overflow the grid's step into NaN points.
+    if not math.isfinite(stop - start):
+        raise ConfigError(
+            f"sweep start, stop and their distance must be finite, got {start!r} and {stop!r}"
+        )
+    grid = np.linspace(start, stop, count)
+    if param == "delta":
+        return SweepSpec(param, tuple(grid.tolist()))
+    values = tuple(int(round(point)) for point in grid)
+    if any(point < 0 for point in values):
+        raise ConfigError("n_photon sweep values must be >= 0")
+    repeated = sorted(point for point, times in Counter(values).items() if times > 1)
+    if repeated:
+        raise ConfigError(
+            f"n_photon sweep rounds {count} points onto repeated values {repeated}; "
+            "use at most one point per integer"
+        )
+    return SweepSpec(param, values)
 
 
 def _load_config_file(path: str) -> dict:
@@ -306,14 +308,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("initial=custom needs --amplitudes a1,b1,a2,b2")
         amplitudes = _normalized_custom_amplitudes(_parse_amplitudes(merged["amplitudes"]))
 
-    delta = _real("delta", merged["delta"])
-    n_photon = _integer("n_photon", merged["n_photon"])
+    try:
+        params = SystemParams(
+            delta=_real("delta", merged["delta"]),
+            n_photon=_integer("n_photon", merged["n_photon"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     tau_max = _real("tau_max", merged["tau_max"])
     steps = _integer("steps", merged["steps"])
-    if not math.isfinite(delta):
-        raise ConfigError(f"delta must be finite, got {delta}")
-    if n_photon < 0:
-        raise ConfigError(f"n_photon must be >= 0, got {n_photon}")
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
     if not (0.0 < tau_max < math.inf):
@@ -322,8 +325,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     output_path = merged["output_path"] or _DEFAULT_OUTPUTS[mode]
     return RunConfig(
         mode=mode,
-        delta=delta,
-        n_photon=n_photon,
+        params=params,
         initial=initial,
         amplitudes=amplitudes,
         tau_max=tau_max,
@@ -462,27 +464,10 @@ def _format_series_rows(columns: SeriesColumns) -> list[str]:
 
 def run_series(config: RunConfig) -> int:
     """Write a CSV time series of populations, negativity, and class labels."""
-    params = SystemParams(delta=config.delta, n_photon=config.n_photon)
-    columns = time_series(params, _initial_for(config), config.tau_max, config.steps)
+    columns = time_series(config.params, _initial_for(config), config.tau_max, config.steps)
     lines = [SERIES_HEADER, *_format_series_rows(columns)]
     Path(config.output_path).write_text("\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _sweep_values(spec: SweepSpec) -> list[float] | list[int]:
-    grid = np.linspace(spec.start, spec.stop, spec.count)
-    if spec.param == "n_photon":
-        values = [int(round(value)) for value in grid]
-        if any(value < 0 for value in values):
-            raise ConfigError("n_photon sweep values must be >= 0")
-        repeated = sorted(value for value, times in Counter(values).items() if times > 1)
-        if repeated:
-            raise ConfigError(
-                f"n_photon sweep rounds {spec.count} points onto repeated values {repeated}; "
-                "use at most one point per integer"
-            )
-        return values
-    return [float(value) for value in grid]
 
 
 def run_sweep(config: RunConfig) -> int:
@@ -500,18 +485,14 @@ def run_sweep(config: RunConfig) -> int:
     """
     spec = config.sweep
     assert spec is not None  # guaranteed by resolve_config
-    values = _sweep_values(spec)
     initial = _initial_for(config)
     rows = [f"{spec.param},avg_negativity,first_negativity_zero,negativity_zero_count"]
-    for value in values:
-        if spec.param == "delta":
-            params = SystemParams(delta=float(value), n_photon=config.n_photon)
-        else:
-            params = SystemParams(delta=config.delta, n_photon=int(value))
+    for value in spec.values:
+        params = replace(config.params, **{spec.param: value})
         columns = time_series(params, initial, config.tau_max, config.steps, labels=False)
         first_zero = first_negativity_zero(columns.tau, columns.negativity)
         row = [
-            str(int(value)) if spec.param == "n_photon" else _format_float(float(value)),
+            str(value) if spec.param == "n_photon" else _format_float(value),
             _format_float(average_negativity(columns.tau, columns.negativity)),
             _format_float(-1.0 if first_zero is None else first_zero),
             str(negativity_zero_count(columns.negativity)),
@@ -527,8 +508,7 @@ def run_audit(config: RunConfig) -> int:
     The plain-text table goes to stdout; mismatch verdicts are findings, not
     failures, so the exit status stays 0.
     """
-    params = SystemParams(delta=config.delta, n_photon=config.n_photon)
-    report = audit_closed_form(params, AUDIT_TAU_GRID)
+    report = audit_closed_form(config.params, AUDIT_TAU_GRID)
     Path(config.output_path).write_text(report.to_json() + "\n")
     sys.stdout.write(report.to_text())
     return EXIT_OK

@@ -162,16 +162,25 @@ def _downward_crossings(gaps: np.ndarray) -> np.ndarray:
     return (gaps[:-1] > 0.0) & (gaps[1:] <= 0.0)
 
 
+def _sample_columns(tau: np.ndarray, negativity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tau`` and ``negativity`` as float arrays, checked to be of one shape."""
+    tau = np.asarray(tau, dtype=np.float64)
+    negativity = np.asarray(negativity, dtype=np.float64)
+    if tau.shape != negativity.shape:
+        raise ValueError(f"tau and negativity differ in shape: {tau.shape} and {negativity.shape}")
+    return tau, negativity
+
+
 def first_negativity_zero(tau: np.ndarray, negativity: np.ndarray) -> float | None:
     """First time the negativity falls back to zero, or ``None``.
 
     A "zero" is a downward crossing of ``NEGATIVITY_ZERO_THRESHOLD``: the
     sampled negativity sits above it at one grid point and at or below it at
     the next.  The crossing time is linearly interpolated between the two
-    grid points.
+    grid points.  Columns of different shapes raise ``ValueError``.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    gaps = np.asarray(negativity, dtype=np.float64) - NEGATIVITY_ZERO_THRESHOLD
+    tau, negativity = _sample_columns(tau, negativity)
+    gaps = negativity - NEGATIVITY_ZERO_THRESHOLD
     drops = np.flatnonzero(_downward_crossings(gaps))
     if drops.size == 0:
         return None
@@ -194,11 +203,13 @@ def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
     Computed as the trapezoid integral of the linear interpolant divided by
     the window length.  The interior samples are summed one by one in
     Python, not by ``np.sum``, whose pairwise summation rounds differently.
+    Columns of different shapes, or of fewer than two samples, raise
+    ``ValueError``.
     """
-    tau = np.asarray(tau, dtype=np.float64)
+    tau, negativity = _sample_columns(tau, negativity)
     if len(tau) < 2:
         raise ValueError("need at least two samples to average")
-    values = np.asarray(negativity, dtype=np.float64).tolist()
+    values = negativity.tolist()
     dt = tau[1].item() - tau[0].item()
     integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
     window = tau[-1].item() - tau[0].item()

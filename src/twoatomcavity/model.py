@@ -54,7 +54,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.delta):
-            raise ValueError("delta must be finite")
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         if int(self.n_photon) != self.n_photon or self.n_photon < 0:
             raise ValueError(f"n_photon must be a non-negative integer, got {self.n_photon!r}")
 
@@ -129,8 +129,6 @@ class SpectralQuantities:
             ``2*pi/3``.
         mu: the three nonzero subspace eigenvalues, ``(2/3) * kappa * cos(theta_i)``.
         alpha: partial-fraction weights ``1 / (mu_diff * mu_diff)`` products.
-        mu_diffs: antisymmetric 3x3 array of root differences
-            ``mu[k] - mu[j]``.
     """
 
     gamma: float
@@ -139,7 +137,6 @@ class SpectralQuantities:
     theta: np.ndarray
     mu: np.ndarray
     alpha: np.ndarray
-    mu_diffs: np.ndarray
 
 
 def _clamped_arccos_argument(x: float) -> float:
@@ -208,7 +205,6 @@ def spectral_quantities(params: SystemParams) -> SpectralQuantities:
         theta=theta,
         mu=mu,
         alpha=alpha,
-        mu_diffs=diffs,
     )
 
 

@@ -123,69 +123,80 @@ def _closed_form_matrix(
     )
 
 
-@dataclass(frozen=True)
-class ElementModeResult:
-    """Audit outcome for one element under one closed-form mode."""
-
-    max_deviation: float
-    verdict: str
-
-
-@dataclass(frozen=True)
-class ElementAudit:
-    """Per-element audit results keyed by closed-form mode."""
-
-    element: str
-    results: Mapping[str, ElementModeResult]
+#: The audit's standing finding on elements u22/u23.
+CONSTANT_TERM_FINDING = (
+    "elements u22/u23 (and their symmetric copies u33/u32) carry a "
+    "time-independent term: delta*(beta^2-gamma^2) divided by the product "
+    "of the three roots. For nonzero detuning that ratio equals -1/2 "
+    "because the root product is minus twice the detuning; at zero "
+    "detuning its numerator vanishes and it is evaluated as 0, with the "
+    "near-zero root's own term supplying the constant instead."
+)
 
 
-@dataclass(frozen=True)
+def _written_result(deviation: float) -> dict:
+    """One element's maximum deviation under one mode, as the report writes it."""
+    return {
+        "max_deviation": deviation if np.isfinite(deviation) else "inf",
+        "verdict": "match" if deviation <= AUDIT_TOL else "mismatch",
+    }
+
+
+# Array fields have no single truth value, so reports compare by identity.
+@dataclass(frozen=True, eq=False)
 class AuditReport:
     """Element-wise comparison of the closed form against the spectral oracle.
 
-    ``elements`` holds one entry per matrix element (16 in total), each with
-    the maximum deviation over ``tau_grid`` and a match/mismatch verdict for
-    each of ``CLOSED_FORM_MODES``.  ``findings`` collects free-text
-    observations such as the identity-at-zero check.  ``fock_cutoff`` is
-    reported as
-    ``n_photon + DEFAULT_CUTOFF_MARGIN``, the truncation of
-    :func:`twoatomcavity.model.full_hamiltonian`; the audit truncates nothing.
+    ``deviations`` maps each audited closed-form mode to the 4x4 array of
+    maximum absolute deviations over ``tau_grid``, non-finite ones stored as
+    infinity.  ``identity_defects`` maps each mode to ``|U(0) - I|`` of its
+    closed form, and is empty when the grid lacks ``tau = 0``.  The outputs
+    derive the rest as they write: the verdict of each element (``match``
+    at or below ``AUDIT_TOL``), the ``findings`` and the reported
+    ``fock_cutoff``, ``n_photon + DEFAULT_CUTOFF_MARGIN``, the truncation of
+    :func:`twoatomcavity.model.full_hamiltonian` (the audit truncates
+    nothing).
     """
 
     delta: float
     n_photon: int
-    fock_cutoff: int
     tau_grid: tuple[float, ...]
-    modes: tuple[str, ...]
-    tolerance: float
-    elements: tuple[ElementAudit, ...]
-    findings: tuple[str, ...]
+    deviations: Mapping[str, np.ndarray]
+    identity_defects: Mapping[str, np.ndarray]
+
+    @property
+    def findings(self) -> tuple[str, ...]:
+        """The constant-term finding, then one identity check per mode at tau = 0."""
+        findings = [CONSTANT_TERM_FINDING]
+        for mode, defect in self.identity_defects.items():
+            offenders = [ELEMENT_IDS[index] for index in np.flatnonzero(defect > AUDIT_TOL)]
+            outcome = (
+                f"deviates from the identity by up to {float(np.max(defect)):.3e}; "
+                f"offending elements: {', '.join(offenders)}. The u22/u33 defect persists "
+                "in both modes: the bracket structure of the u22 formula cannot be "
+                "repaired by its constant term alone."
+                if offenders
+                else "reproduces the identity within tolerance."
+            )
+            findings.append(f"identity check at tau=0 ({mode} mode): closed form {outcome}")
+        return tuple(findings)
 
     def to_json_dict(self) -> dict:
         """Machine-readable representation (JSON-safe values only)."""
-
-        def _safe(value: float) -> float | str:
-            return value if np.isfinite(value) else "inf"
-
+        flat = {mode: values.ravel().tolist() for mode, values in self.deviations.items()}
         return {
             "delta": self.delta,
             "n_photon": self.n_photon,
-            "fock_cutoff": self.fock_cutoff,
+            "fock_cutoff": self.n_photon + DEFAULT_CUTOFF_MARGIN,
             "tau_grid": list(self.tau_grid),
-            "modes": list(self.modes),
-            "tolerance": self.tolerance,
+            "modes": list(self.deviations),
+            "tolerance": AUDIT_TOL,
             "elements": [
                 {
-                    "element": entry.element,
-                    **{
-                        mode: {
-                            "max_deviation": _safe(result.max_deviation),
-                            "verdict": result.verdict,
-                        }
-                        for mode, result in entry.results.items()
-                    },
+                    "element": element_id,
+                    **{mode: _written_result(values[index]) for mode, values in flat.items()},
                 }
-                for entry in self.elements
+                for index, element_id in enumerate(ELEMENT_IDS)
             ],
             "findings": list(self.findings),
         }
@@ -194,33 +205,30 @@ class AuditReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
-        """Plain-text table of the audit results."""
+        """Plain-text table of the audit results, read from :meth:`to_json_dict`."""
+        payload = self.to_json_dict()
         lines = [
             f"closed-form audit: delta={self.delta!r}, n_photon={self.n_photon}, "
-            f"fock_cutoff={self.fock_cutoff}",
+            f"fock_cutoff={payload['fock_cutoff']}",
             f"tau grid: {len(self.tau_grid)} points in "
             f"[{min(self.tau_grid)!r}, {max(self.tau_grid)!r}]; "
-            f"mismatch above {self.tolerance:.0e}",
+            f"mismatch above {payload['tolerance']:.0e}",
             "",
         ]
         header = ["element"]
-        for mode in self.modes:
+        for mode in payload["modes"]:
             header += [f"{mode}_max_dev", f"{mode}_verdict"]
         rows = [header]
-        for entry in self.elements:
-            row = [entry.element]
-            for mode in self.modes:
-                result = entry.results[mode]
-                row += [f"{result.max_deviation:.3e}", result.verdict]
+        for entry in payload["elements"]:
+            row = [entry["element"]]
+            for mode in payload["modes"]:
+                result = entry[mode]
+                row += [f"{float(result['max_deviation']):.3e}", result["verdict"]]
             rows.append(row)
         widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
         for row in rows:
             lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-        if self.findings:
-            lines.append("")
-            lines.append("findings:")
-            for finding in self.findings:
-                lines.append(f"- {finding}")
+        lines += ["", "findings:", *(f"- {finding}" for finding in payload["findings"])]
         return "\n".join(lines) + "\n"
 
 
@@ -228,10 +236,9 @@ def audit_closed_form(params: SystemParams, tau_grid: Sequence[float]) -> AuditR
     """Audit the closed-form propagator against the spectral oracle.
 
     For each of ``CLOSED_FORM_MODES`` and every grid time, both propagators are
-    evaluated and the element-wise absolute deviation recorded; each of the
-    16 elements receives its maximum deviation and a verdict (``match`` when
-    the deviation stays at or below ``AUDIT_TOL``).  Non-finite deviations
-    are normalized to infinity and flagged as mismatches.
+    evaluated and the element-wise absolute deviation recorded; the report
+    keeps each element's maximum, with non-finite deviations normalized to
+    infinity (a mismatch in every output).
 
     Raises:
         DegenerateRoots: propagated from the closed form.
@@ -244,7 +251,7 @@ def audit_closed_form(params: SystemParams, tau_grid: Sequence[float]) -> AuditR
     sq = spectral_quantities(params)
     system = linalg.eig_hermitian(subspace_hamiltonian(params))
     deviations = {mode: np.zeros((4, 4)) for mode in CLOSED_FORM_MODES}
-    zero_snapshots: dict[str, np.ndarray] = {}
+    identity_defects: dict[str, np.ndarray] = {}
     for tau in tau_values:
         reference = system.unitary(tau)
         for mode in CLOSED_FORM_MODES:
@@ -253,53 +260,11 @@ def audit_closed_form(params: SystemParams, tau_grid: Sequence[float]) -> AuditR
             delta_elements[~np.isfinite(delta_elements)] = np.inf
             deviations[mode] = np.maximum(deviations[mode], delta_elements)
             if tau == 0.0:
-                zero_snapshots[mode] = closed
-    elements = []
-    for flat_index, element_id in enumerate(ELEMENT_IDS):
-        row, col = divmod(flat_index, 4)
-        results = {}
-        for mode in CLOSED_FORM_MODES:
-            deviation = float(deviations[mode][row, col])
-            verdict = "match" if deviation <= AUDIT_TOL else "mismatch"
-            results[mode] = ElementModeResult(max_deviation=deviation, verdict=verdict)
-        elements.append(ElementAudit(element=element_id, results=results))
-    findings = [
-        "elements u22/u23 (and their symmetric copies u33/u32) carry a "
-        "time-independent term: delta*(beta^2-gamma^2) divided by the product "
-        "of the three roots. For nonzero detuning that ratio equals -1/2 "
-        "because the root product is minus twice the detuning; at zero "
-        "detuning its numerator vanishes and it is evaluated as 0, with the "
-        "near-zero root's own term supplying the constant instead."
-    ]
-    for mode, closed_zero in zero_snapshots.items():
-        identity_defect = np.abs(closed_zero - np.eye(4))
-        worst = float(np.max(identity_defect))
-        offenders = [
-            ELEMENT_IDS[r * 4 + c]
-            for r in range(4)
-            for c in range(4)
-            if identity_defect[r, c] > AUDIT_TOL
-        ]
-        if offenders:
-            findings.append(
-                f"identity check at tau=0 ({mode} mode): closed form deviates from "
-                f"the identity by up to {worst:.3e}; offending elements: "
-                f"{', '.join(offenders)}. The u22/u33 defect persists in both modes: "
-                "the bracket structure of the u22 formula cannot be repaired by "
-                "its constant term alone."
-            )
-        else:
-            findings.append(
-                f"identity check at tau=0 ({mode} mode): closed form reproduces the "
-                "identity within tolerance."
-            )
+                identity_defects[mode] = np.abs(closed - np.eye(4))
     return AuditReport(
         delta=float(params.delta),
         n_photon=params.n_photon,
-        fock_cutoff=params.n_photon + DEFAULT_CUTOFF_MARGIN,
         tau_grid=tuple(tau_values),
-        modes=CLOSED_FORM_MODES,
-        tolerance=AUDIT_TOL,
-        elements=tuple(elements),
-        findings=tuple(findings),
+        deviations=deviations,
+        identity_defects=identity_defects,
     )

@@ -95,6 +95,9 @@ class TestArgumentHandling:
             ["--config", '{"n_photon": 2.7}'],
             ["--config", '{"steps": 10.5}'],
             ["--config", '{"delta": true}'],
+            ["--config", '{"initial": "custom", "amplitudes": [true, false, true, false]}'],
+            ["--config", '{"initial": "custom", "amplitudes": [["a", 0], 1, 1, 0]}'],
+            ["--sweep", "delta:-1e308:1e308:3"],
             ["--config", '{"sweep": {"param": "delta", "start": 0, "stop": 1, "count": 2.5}}'],
         ],
         ids=" ".join,
@@ -110,6 +113,12 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"delta": 10**400}))
+        assert run_cli(["--config", str(config), "--output", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: delta must be a number")
+
     def test_integral_floats_in_config_are_accepted(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_photon": 3.0, "steps": 11.0, "sweep": {
@@ -119,8 +128,9 @@ class TestArgumentHandling:
         assert len(out.read_text().splitlines()) == 4
         args = cli.build_parser().parse_args(["--config", str(config)])
         resolved = cli.resolve_config(args)
-        assert (resolved.n_photon, resolved.steps, resolved.sweep.count) == (3, 11, 3)
-        assert all(type(v) is int for v in (resolved.n_photon, resolved.steps, resolved.sweep.count))
+        assert (resolved.params.n_photon, resolved.steps) == (3, 11)
+        assert all(type(v) is int for v in (resolved.params.n_photon, resolved.steps))
+        assert resolved.sweep.values == (0.0, 0.5, 1.0)
 
     def test_large_photon_number_exits_0(self, tmp_path):
         # Each excitation block is evolved exactly: no photon-number limit.
@@ -507,6 +517,10 @@ class TestConfigLayers:
         from_file = cli.resolve_config(parser.parse_args(["--config", str(config)]))
         from_flags = cli.resolve_config(parser.parse_args(flags))
         assert from_file == from_flags
+        values["sweep"] = {"param": "delta", "start": 0.1, "stop": 0.9, "count": 5}
+        config.write_text(json.dumps(values))
+        from_dict = cli.resolve_config(parser.parse_args(["--config", str(config)]))
+        assert from_dict == from_flags
         assert from_file != cli.resolve_config(parser.parse_args([]))
 
     def test_missing_config_file_exits_1(self, tmp_path):
@@ -658,6 +672,5 @@ class TestDefaults:
         config = cli.resolve_config(cli.build_parser().parse_args([]))
         assert config.tau_max == 10.0
         assert config.steps == 1001
-        assert config.delta == 0.0
-        assert config.n_photon == 0
+        assert config.params == SystemParams(delta=0.0, n_photon=0)
         assert config.initial == "ee"

@@ -543,6 +543,14 @@ class TestSeriesStatistics:
         with pytest.raises(ValueError):
             average_negativity(*columns_of([0.0], [0.1]))
 
+    def test_columns_of_different_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            average_negativity([0.0, 1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="differ in shape"):
+            first_negativity_zero([0.0, 1.0], [0.5, 0.5, 0.0])
+        with pytest.raises(ValueError, match="differ in shape"):
+            first_negativity_zero([0.0, 1.0, 2.0], [0.5, 0.5, 0.0, 0.0])
+
 
 class TestMidlineCrossingCount:
     """The oscillation count that acceptance criterion 07 compares."""

@@ -111,3 +111,15 @@ def test_benchmark_tracer_finds_every_traced_name():
         tracer.uninstall()
     for (module, name), original in originals.items():
         assert getattr(sys.modules[f"twoatomcavity.{module}"], name) is original
+
+
+def test_baseline_script_imports_every_name_it_uses(monkeypatch):
+    # bench/baseline.py imports its timed functions from the package; this
+    # loads the script, which puts the sources on sys.path, without running
+    # its main().
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "bench" / "baseline.py"
+    spec = importlib.util.spec_from_file_location("bench_baseline", path)
+    baseline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(baseline)
+    assert callable(baseline.main)

@@ -170,12 +170,6 @@ class TestSpectralQuantities:
         assert np.array_equal(regenerated, sq.mu)
         assert np.allclose(np.diff(sq.theta), 2.0 * np.pi / 3.0, atol=1e-15)
 
-    def test_mu_diffs_layout(self):
-        sq = spectral_quantities(SystemParams(delta=0.7, n_photon=2))
-        for k in range(3):
-            for j in range(3):
-                assert sq.mu_diffs[k, j] == sq.mu[k] - sq.mu[j]
-
     @pytest.mark.parametrize("delta", DELTA_GRID)
     @pytest.mark.parametrize("n", N_GRID)
     def test_alpha_partial_fraction_identities(self, delta, n):

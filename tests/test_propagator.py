@@ -10,10 +10,9 @@ from twoatomcavity.model import DEFAULT_CUTOFF_MARGIN, SystemParams, spectral_qu
 from twoatomcavity.propagator import (
     AUDIT_TOL,
     CLOSED_FORM_MODES,
+    CONSTANT_TERM_FINDING,
     ELEMENT_IDS,
     AuditReport,
-    ElementAudit,
-    ElementModeResult,
     audit_closed_form,
     propagate_closed_form,
     propagate_spectral,
@@ -156,32 +155,39 @@ def report() -> AuditReport:
     return audit_closed_form(params, np.linspace(0.0, 10.0, 21))
 
 
+def mismatched_elements(deviations: np.ndarray) -> set[str]:
+    return {ELEMENT_IDS[index] for index in np.flatnonzero(deviations > AUDIT_TOL)}
+
+
 class TestAudit:
     def test_sixteen_elements(self, report):
-        assert len(report.elements) == 16
-        assert tuple(entry.element for entry in report.elements) == ELEMENT_IDS
+        assert tuple(report.deviations) == CLOSED_FORM_MODES
+        for deviations in report.deviations.values():
+            assert deviations.shape == (4, 4)
+        elements = json.loads(report.to_json())["elements"]
+        assert tuple(entry["element"] for entry in elements) == ELEMENT_IDS
 
     def test_strict_verdicts(self, report):
-        mismatches = {
-            entry.element
-            for entry in report.elements
-            if entry.results["strict"].verdict == "mismatch"
-        }
+        mismatches = mismatched_elements(report.deviations["strict"])
         assert mismatches == {"u11", "u12", "u13", "u21", "u31", "u22", "u33"}
 
     def test_corrected_verdicts(self, report):
-        mismatches = {
-            entry.element
-            for entry in report.elements
-            if entry.results["corrected"].verdict == "mismatch"
-        }
+        mismatches = mismatched_elements(report.deviations["corrected"])
         assert mismatches == {"u22", "u33"}
 
     def test_corrected_matches_are_tight(self, report):
-        for entry in report.elements:
-            result = entry.results["corrected"]
-            if result.verdict == "match":
-                assert result.max_deviation < 1e-9
+        deviations = report.deviations["corrected"]
+        matches = deviations[deviations <= AUDIT_TOL]
+        assert matches.size == 14
+        assert np.all(matches < 1e-9)
+
+    def test_written_verdicts_follow_the_deviations(self, report):
+        for entry in json.loads(report.to_json())["elements"]:
+            row, col = divmod(ELEMENT_IDS.index(entry["element"]), 4)
+            for mode in CLOSED_FORM_MODES:
+                deviation = float(report.deviations[mode][row, col])
+                assert entry[mode]["max_deviation"] == deviation
+                assert entry[mode]["verdict"] == ("match" if deviation <= AUDIT_TOL else "mismatch")
 
     def test_findings_mention_constant_term_and_identity(self, report):
         text = "\n".join(report.findings)
@@ -218,29 +224,31 @@ class TestAudit:
             assert element_id in text
         assert "findings:" in text
 
+    def test_identity_defects_need_zero_in_the_grid(self, report):
+        assert tuple(report.identity_defects) == CLOSED_FORM_MODES
+        for mode in CLOSED_FORM_MODES:
+            assert report.identity_defects[mode].shape == (4, 4)
+        without_zero = audit_closed_form(SystemParams(delta=0.5, n_photon=0), [0.5, 1.0])
+        assert without_zero.identity_defects == {}
+        assert without_zero.findings == (CONSTANT_TERM_FINDING,)
+        assert without_zero.to_text().endswith(f"findings:\n- {CONSTANT_TERM_FINDING}\n")
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             audit_closed_form(SystemParams(delta=0.5, n_photon=0), [])
 
     def test_non_finite_deviation_serializes(self):
+        deviations = np.zeros((4, 4))
+        deviations[0, 0] = np.inf
         report = AuditReport(
             delta=0.0,
             n_photon=0,
-            fock_cutoff=6,
             tau_grid=(0.0,),
-            modes=("strict",),
-            tolerance=AUDIT_TOL,
-            elements=(
-                ElementAudit(
-                    element="u11",
-                    results={
-                        "strict": ElementModeResult(
-                            max_deviation=float("inf"), verdict="mismatch"
-                        )
-                    },
-                ),
-            ),
-            findings=(),
+            deviations={"strict": deviations},
+            identity_defects={},
         )
         payload = json.loads(report.to_json())
+        assert payload["modes"] == ["strict"]
         assert payload["elements"][0]["strict"]["max_deviation"] == "inf"
+        assert payload["elements"][0]["strict"]["verdict"] == "mismatch"
+        assert payload["elements"][1]["strict"]["verdict"] == "match"
