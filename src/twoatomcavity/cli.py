@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -480,22 +481,21 @@ def run_sweep(config: RunConfig) -> int:
     the threshold (the pair is never entangled), or it rises above it and is
     still above it at the window end.
 
-    Each point computes only the time and negativity columns of its series
-    (no class labels) and takes the statistics of those arrays.
+    All points are evaluated in one stacked call that computes no class
+    labels; the statistics are taken per point from its negativity column.
     """
     spec = config.sweep
     assert spec is not None  # guaranteed by resolve_config
-    initial = _initial_for(config)
+    points = [replace(config.params, **{spec.param: value}) for value in spec.values]
+    columns = time_series(points, _initial_for(config), config.tau_max, config.steps, labels=False)
     rows = [f"{spec.param},avg_negativity,first_negativity_zero,negativity_zero_count"]
-    for value in spec.values:
-        params = replace(config.params, **{spec.param: value})
-        columns = time_series(params, initial, config.tau_max, config.steps, labels=False)
-        first_zero = first_negativity_zero(columns.tau, columns.negativity)
+    for value, negativity in zip(spec.values, columns.negativity):
+        first_zero = first_negativity_zero(columns.tau, negativity)
         row = [
             str(value) if spec.param == "n_photon" else _format_float(value),
-            _format_float(average_negativity(columns.tau, columns.negativity)),
+            _format_float(average_negativity(columns.tau, negativity)),
             _format_float(-1.0 if first_zero is None else first_zero),
-            str(negativity_zero_count(columns.negativity)),
+            str(negativity_zero_count(negativity)),
         ]
         rows.append(",".join(row))
     Path(config.output_path).write_text("\n".join(rows) + "\n")
@@ -514,27 +514,32 @@ def run_audit(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
-    try:
-        config = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     runners = {"series": run_series, "sweep": run_sweep, "audit": run_audit}
     try:
+        config = resolve_config(args)
         return runners[config.mode](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except TwoAtomCavityError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTATION_ERROR
+    except MemoryError as exc:
+        # A grid or sweep too large to allocate, such as --steps 10**15.
+        print(f"computation error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTATION_ERROR
 
 

@@ -6,10 +6,11 @@ four states each (Tavis & Cummings 1968): |ee, n> lies in the block whose
 lowest photon number is n, |eg, n> and |ge, n> in the block of n - 1, and
 |gg, n> in the block of n - 2.  :func:`time_series` diagonalizes each
 block on its own, places the amplitudes on the photon levels n-2..n+2 and
-walks its time grid in chunks of ``_CHUNK_SAMPLES`` samples, which bounds the
-memory of the stacked arrays; no Fock space is truncated.  It returns the
-samples as columns (time, populations, negativity and, unless told not to
-classify, class labels), into which it writes each chunk.  The negativity
+evaluates the rows (point, sample) of one point or of a whole sweep in
+chunks of ``_CHUNK_SAMPLES`` rows, which bounds the memory of the stacked
+arrays; no Fock space is truncated.  It returns the samples as columns
+(time, populations, negativity and, unless told not to classify, class
+labels), into which it writes each chunk.  The negativity
 statistics (:func:`first_negativity_zero`, :func:`negativity_zero_count`,
 :func:`average_negativity`) take the ``tau`` and ``negativity`` columns, or
 any sequences of the same values; a zero is a downward crossing of
@@ -17,6 +18,7 @@ any sequences of the same values; a zero is a downward crossing of
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -35,8 +37,9 @@ POPULATION_CLAMP = 1e-12
 #: Negativity at or below this threshold counts as zero for event detection.
 NEGATIVITY_ZERO_THRESHOLD = 1e-6
 
-#: Grid samples evaluated together by :func:`time_series`.
-_CHUNK_SAMPLES = 128
+#: Rows (point, sample) evaluated together by :func:`time_series`: the
+#: chunk's reduced states take 1024 * 16 complex entries, 256 KiB.
+_CHUNK_SAMPLES = 1024
 
 
 def _atomic_vector_of(initial: TwoAtomAmplitudes | np.ndarray) -> np.ndarray:
@@ -65,43 +68,84 @@ def populations(rho: np.ndarray) -> np.ndarray:
 _LEVELS = 5
 
 
-def _populated_blocks(params: SystemParams, atomic: np.ndarray) -> list[tuple]:
-    """Eigensystem, initial coefficients and state positions of each populated block.
+class _BlockStack(NamedTuple):
+    """The blocks of one photon shift and one size, stacked over the points that have them.
+
+    Point ``p`` has block ``slots[p]`` of the stack, or none when that is -1.
+    Its states sit at atomic indices ``atoms`` and photon levels ``levels``.
+    """
+
+    slots: np.ndarray  # (points,)
+    eigenvalues: np.ndarray  # (blocks, d)
+    eigenvectors: np.ndarray  # (blocks, d, d)
+    coefficients: np.ndarray  # (blocks, d)
+    atoms: np.ndarray  # (d,)
+    levels: np.ndarray  # (d,)
+
+
+def _populated_blocks(points: list[SystemParams], atomic: np.ndarray) -> list[_BlockStack]:
+    """Eigensystems, initial coefficients and state positions of every populated block.
 
     The block whose lowest photon number is ``n - shift`` holds the prepared
     states at photon ``n`` whose photon offset equals ``shift``: |ee> for 0,
-    |eg> and |ge> for 1, |gg> for 2.  Each block the preparation populates is
-    diagonalized on its own; its states sit at atomic index ``kept`` and
-    photon level ``offset + 2 - shift`` of the levels n-2..n+2.
+    |eg> and |ge> for 1, |gg> for 2.  Below ``n = shift`` the block loses its
+    states of negative photon number and has 3 or 1 states.  The blocks of
+    equal size, over all shifts and points, are diagonalized in one stacked
+    call; a block's states sit at atomic index ``kept`` and photon level
+    ``offset + 2 - shift`` of the levels n-2..n+2.
     """
     offsets = np.array(BLOCK_PHOTON_OFFSETS)
-    blocks = []
+    # (shift, kept) -> the points with that block and its rows in the stack of its size.
+    members: dict[tuple[int, tuple[int, ...]], tuple[list[int], list[int]]] = {}
+    hamiltonians: dict[int, list[np.ndarray]] = {}
     for shift in (0, 1, 2):
-        start = np.where(offsets == shift, atomic, 0.0)
-        if not np.any(start):
+        if not np.any(atomic[offsets == shift]):
             continue
-        hamiltonian, kept = excitation_block(params.delta, params.n_photon - shift)
-        system = linalg.eig_hermitian(hamiltonian)
-        coefficients = system.eigenvectors.conj().T @ start[kept]
-        blocks.append((system, coefficients, kept, offsets[kept] + 2 - shift))
-    return blocks
+        for point, params in enumerate(points):
+            hamiltonian, kept = excitation_block(params.delta, params.n_photon - shift)
+            stack = hamiltonians.setdefault(len(kept), [])
+            group, rows = members.setdefault((shift, tuple(kept)), ([], []))
+            group.append(point)
+            rows.append(len(stack))
+            stack.append(hamiltonian)
+    spectra = {size: linalg._eigh_stack(np.stack(stack)) for size, stack in hamiltonians.items()}
+    stacks = []
+    for (shift, kept), (group, rows) in members.items():
+        atoms = np.array(kept)
+        eigenvalues, eigenvectors = (part[rows] for part in spectra[len(atoms)])
+        start = np.where(offsets == shift, atomic, 0.0)[atoms]
+        slots = np.full(len(points), -1)
+        slots[group] = np.arange(len(group))
+        stacks.append(
+            _BlockStack(
+                slots,
+                eigenvalues,
+                eigenvectors,
+                eigenvectors.conj().swapaxes(-1, -2) @ start,
+                atoms,
+                offsets[atoms] + 2 - shift,
+            )
+        )
+    return stacks
 
 
 class SeriesColumns(NamedTuple):
     """A sampled series as columns: one row per grid point.
 
     ``labels`` holds indices into ``entanglement.CLASS_LABELS``, or is
-    ``None`` when the series was computed without classification.
+    ``None`` when the series was computed without classification.  Columns
+    of several points (a sequence of ``SystemParams``) lead with a point
+    axis ``P``; ``tau`` is the grid they share.
     """
 
     tau: np.ndarray  # (T,)
-    populations: np.ndarray  # (T, 4): p_ee, p_eg, p_ge, p_gg
-    negativity: np.ndarray  # (T,)
-    labels: np.ndarray | None  # (T,)
+    populations: np.ndarray  # ([P,] T, 4): p_ee, p_eg, p_ge, p_gg
+    negativity: np.ndarray  # ([P,] T)
+    labels: np.ndarray | None  # ([P,] T)
 
 
 def time_series(
-    params: SystemParams,
+    params: SystemParams | Sequence[SystemParams],
     initial: TwoAtomAmplitudes | np.ndarray,
     tau_max: float,
     steps: int,
@@ -110,51 +154,77 @@ def time_series(
 ) -> SeriesColumns:
     """Sample the reduced dynamics on a uniform grid over ``[0, tau_max]``.
 
-    The grid is ``tau_k = k * tau_max / (steps - 1)``.  Each excitation block
-    the preparation populates is diagonalized once; the grid is then
-    evaluated in chunks of ``_CHUNK_SAMPLES`` samples, each chunk costing one
-    stacked phase rotation, one stacked partial trace over the five photon
-    levels n-2..n+2, one stacked partial-transpose spectrum for the
-    negativity and, when ``labels`` is true, one classification pass that
-    reuses that negativity.  At ``tau = 0`` the initial state is used
-    bit-exactly.
+    The grid is ``tau_k = k * tau_max / (steps - 1)``.  ``params`` is one
+    point or a sequence of points (a sweep), all sampled on that grid.  Every
+    excitation block the preparation populates is diagonalized once per
+    point.  The rows (point, sample) are then evaluated in chunks of
+    ``_CHUNK_SAMPLES`` rows, which may span points: each chunk costs one
+    stacked phase rotation per block shape, one stacked partial trace over
+    the five photon levels n-2..n+2, one stacked partial-transpose spectrum
+    for the negativity and, when ``labels`` is true, one classification pass
+    that reuses that negativity.  Each row depends only on its own point and
+    sample, so a point's columns do not depend on the chunking or on the
+    other points.  At ``tau = 0`` the initial state is used bit-exactly.
+
+    Returns columns of shape ``(T, ...)`` for one ``SystemParams`` and
+    ``(P, T, ...)`` for a sequence of ``P`` of them.
 
     Raises:
         ValueError: if ``steps < 2`` or ``tau_max`` is not positive and finite.
         NotNormalized: if a sampled state's squared norm is off by
             ``linalg.NORMALIZATION_TOL`` or is not finite (a phase that
-            overflows makes it NaN).
+            overflows makes it NaN); it names the first such row in (point,
+            sample) order.
     """
     if int(steps) != steps or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not (0.0 < tau_max < np.inf):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
+    steps = int(steps)
+    single = isinstance(params, SystemParams)
+    points = [params] if single else list(params)
     atomic = _atomic_vector_of(initial)
-    blocks = _populated_blocks(params, atomic)
+    blocks = _populated_blocks(points, atomic)
     prepared = np.zeros((4, _LEVELS), dtype=np.complex128)
     prepared[:, 2] = atomic
-    taus = np.linspace(0.0, float(tau_max), int(steps))
-    populations_column = np.empty((len(taus), 4))
-    negativity_column = np.empty(len(taus))
-    label_column = np.empty(len(taus), dtype=np.intp) if labels else None
-    for start in range(0, len(taus), _CHUNK_SAMPLES):
-        chunk = taus[start : start + _CHUNK_SAMPLES]
-        rows = slice(start, start + len(chunk))
-        amplitudes = np.zeros((len(chunk), 4, _LEVELS), dtype=np.complex128)
-        for system, coefficients, atoms, levels in blocks:
+    taus = np.linspace(0.0, float(tau_max), steps)
+    rows = len(points) * steps
+    populations_column = np.empty((rows, 4))
+    negativity_column = np.empty(rows)
+    label_column = np.empty(rows, dtype=np.intp) if labels else None
+    for start in range(0, rows, _CHUNK_SAMPLES):
+        chunk = slice(start, min(start + _CHUNK_SAMPLES, rows))
+        point, sample = np.divmod(np.arange(chunk.start, chunk.stop), steps)
+        tau = taus[sample]
+        amplitudes = np.zeros((len(tau), 4, _LEVELS), dtype=np.complex128)
+        for block in blocks:
+            slot = block.slots[point]
+            member = np.flatnonzero(slot >= 0)
+            slot = slot[member]
             # An overflowing tau * eigenvalue makes the phase NaN, which the
             # norm check of the partial trace reports as one error.
             with np.errstate(over="ignore", invalid="ignore"):
-                phased = np.exp(-1j * system.eigenvalues * chunk[:, None]) * coefficients
-            amplitudes[:, atoms, levels] = (system.eigenvectors @ phased[:, :, None])[:, :, 0]
-        amplitudes[chunk == 0.0] = prepared
+                phased = (
+                    np.exp(-1j * block.eigenvalues[slot] * tau[member, None])
+                    * block.coefficients[slot]
+                )
+            amplitudes[member[:, None], block.atoms, block.levels] = (
+                block.eigenvectors[slot] @ phased[:, :, None]
+            )[:, :, 0]
+        amplitudes[tau == 0.0] = prepared
         rho = linalg.partial_trace_field(amplitudes)
         degree = entanglement.negativity(rho).value
-        populations_column[rows] = populations(rho)
-        negativity_column[rows] = degree
+        populations_column[chunk] = populations(rho)
+        negativity_column[chunk] = degree
         if label_column is not None:
-            label_column[rows] = entanglement._classify_stack(rho, degree)
-    return SeriesColumns(taus, populations_column, negativity_column, label_column)
+            label_column[chunk] = entanglement._classify_stack(rho, degree)
+    shape = (steps,) if single else (len(points), steps)
+    return SeriesColumns(
+        taus,
+        populations_column.reshape(*shape, 4),
+        negativity_column.reshape(shape),
+        None if label_column is None else label_column.reshape(shape),
+    )
 
 
 def _downward_crossings(gaps: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ outputs.
 
 The partial trace and the partial transpose take any stack of states or
 matrices (a leading batch shape), so :func:`twoatomcavity.dynamics.time_series`
-evaluates a whole chunk of its time grid in one call of each.  Stacking changes
-no bits: NumPy's ``eigh`` and ``matmul`` apply the same LAPACK/BLAS routine to
-each matrix of a stack as to a single matrix.
+evaluates a whole chunk of up to 1024 rows, which may span the points of a
+sweep, in one call of each, and diagonalizes the excitation blocks of one size
+of every point in one :func:`_eigh_stack` call.  Stacking changes no bits:
+NumPy's ``eigh`` and ``matmul`` apply the same LAPACK/BLAS routine to each
+matrix of a stack as to a single matrix.
 """
 from __future__ import annotations
 

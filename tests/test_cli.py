@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,36 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--steps", "1000000000000000"], ["--sweep", "delta:0:1:1000000000000000"]],
+        ids=" ".join,
+    )
+    def test_unallocatable_grid_exits_2(self, argv, capsys, tmp_path):
+        # 10**15 doubles are 8 PB, beyond the address space: the allocation
+        # fails at once, without touching memory.
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_parser_is_built_once_and_reads_like_a_fresh_one(self, capsys, monkeypatch):
+        assert run_cli(["--help"]) == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+        fresh = cli.build_parser()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(["--steps", "ten"])
+        fresh_error = capsys.readouterr().err
+
+        def refuse():
+            raise AssertionError("built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for _ in range(2):
+            assert run_cli(["--steps", "ten"]) == 1
+            assert capsys.readouterr().err == fresh_error
 
     def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -355,6 +386,23 @@ class TestSweepMode:
         assert len(out.read_text().splitlines()) == 6
         with pytest.raises(AssertionError, match="classified a sample"):
             run_cli(["--initial", "eg", "--steps", "301", "--output", str(out)])
+
+    def test_sweep_allocates_chunks_not_its_amplitudes(self, tmp_path):
+        # 4 x 26,215 rows: their amplitudes on 4 x 5 levels would take 33.6 MB;
+        # the chunks keep the sweep's traced peak below 8 MB.
+        points, steps = 4, 26_215
+        assert points * steps * 4 * 5 * 16 >= 32 * 2**20
+        out = tmp_path / "sweep.csv"
+        argv = ["--sweep", f"delta:0.1:0.9:{points}", "--initial", "eg", "--n-photon", "2",
+                "--steps", str(steps), "--output", str(out)]
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 10**6
 
     def test_sweep_rejects_negative_photon_values(self):
         assert run_cli(["--sweep", "n_photon:-2:1:4", "--steps", "11"]) == 1

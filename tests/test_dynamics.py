@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twoatomcavity
-from twoatomcavity import entanglement
+from twoatomcavity import dynamics, entanglement
 from twoatomcavity.cli import FORMAT_SNAP_TOL
 from twoatomcavity.dynamics import (
     NEGATIVITY_ZERO_THRESHOLD,
@@ -27,6 +27,7 @@ from twoatomcavity.dynamics import (
 from twoatomcavity.entanglement import CLASS_LABELS, SEPARABLE_THRESHOLD, classify, negativity
 from twoatomcavity.errors import NotNormalized
 from twoatomcavity.model import (
+    ATOMIC_STATE_NAMES,
     SystemParams,
     TwoAtomAmplitudes,
     full_hamiltonian,
@@ -439,6 +440,64 @@ class TestSeriesColumns:
             assert np.array_equal(getattr(unlabelled, name), getattr(labelled, name)), name
         with pytest.raises(AssertionError, match="classified a sample"):
             time_series(params, named_atomic_state("eg"), 3.7, 300)
+
+
+@st.composite
+def _sweep_points(draw) -> list[SystemParams]:
+    """The points of a delta sweep, or of a photon-number sweep through n = 0..5.
+
+    Below n = 2 the blocks of the prepared |eg>, |ge> and |gg> states hold 3
+    or 1 states, so a photon-number sweep stacks blocks of several sizes.
+    """
+    if draw(st.booleans()):
+        n_photon = draw(st.integers(0, 4))
+        deltas = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
+        return [SystemParams(delta=delta, n_photon=n_photon) for delta in deltas]
+    delta = draw(st.floats(-2.0, 2.0))
+    photons = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    return [SystemParams(delta=delta, n_photon=n_photon) for n_photon in photons]
+
+
+_PREPARATIONS = st.one_of(
+    st.sampled_from(ATOMIC_STATE_NAMES).map(named_atomic_state),
+    _product_amplitudes().map(lambda amplitudes: TwoAtomAmplitudes(*amplitudes)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    points=_sweep_points(),
+    initial=_PREPARATIONS,
+    tau_max=st.floats(0.1, 20.0),
+    steps=st.integers(2, 40),
+    chunk=st.sampled_from([1, 2, 7, 13, 64]),
+    labels=st.booleans(),
+)
+@example(
+    points=[SystemParams(delta=0.4, n_photon=n_photon) for n_photon in range(4)],
+    initial=TwoAtomAmplitudes(0.6, 0.8, 0.8, 0.6j), tau_max=10.0, steps=11, chunk=7,
+    labels=True,
+)
+def test_stacked_points_equal_one_point_runs(points, initial, tau_max, steps, chunk, labels):
+    """Each point of a stacked call equals its own one-point call, bit for bit.
+
+    The stacked call runs in chunks of ``chunk`` rows, which straddle points;
+    the one-point calls run in the default chunks.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
+        stacked = time_series(points, initial, tau_max, steps, labels=labels)
+    assert stacked.negativity.shape == (len(points), steps)
+    assert stacked.populations.shape == (len(points), steps, 4)
+    for point, params in enumerate(points):
+        alone = time_series(params, initial, tau_max, steps, labels=labels)
+        assert stacked.tau.tobytes() == alone.tau.tobytes()
+        assert stacked.negativity[point].tobytes() == alone.negativity.tobytes()
+        assert stacked.populations[point].tobytes() == alone.populations.tobytes()
+        if labels:
+            assert stacked.labels[point].tolist() == alone.labels.tolist()
+        else:
+            assert stacked.labels is None
 
 
 _THRESHOLD = NEGATIVITY_ZERO_THRESHOLD

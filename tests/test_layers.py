@@ -63,9 +63,11 @@ SERIES = ["--initial", "eg", "--delta", "0.37", "--n-photon", "3", "--tau-max", 
 SWEEP = ["--sweep", f"delta:0.1:1.0:{SWEEP_POINTS}", "--initial", "eg",
          "--steps", str(SWEEP_STEPS)]
 
-#: Each time_series call makes one chunk call per ``_CHUNK_SAMPLES`` samples.
+#: A series is one time_series call over its samples, a sweep one call over
+#: all of its (point, sample) rows; each makes one chunk call per
+#: ``_CHUNK_SAMPLES`` rows.
 SERIES_CHUNKS = math.ceil(SERIES_STEPS / _CHUNK_SAMPLES)
-SWEEP_CHUNKS = SWEEP_POINTS * math.ceil(SWEEP_STEPS / _CHUNK_SAMPLES)
+SWEEP_CHUNKS = math.ceil(SWEEP_POINTS * SWEEP_STEPS / _CHUNK_SAMPLES)
 
 
 @pytest.mark.parametrize(
@@ -73,7 +75,7 @@ SWEEP_CHUNKS = SWEEP_POINTS * math.ceil(SWEEP_STEPS / _CHUNK_SAMPLES)
     [
         (SERIES, {"time_series": 1, "partial_trace_field": SERIES_CHUNKS,
                   "partial_transpose": SERIES_CHUNKS, "negativity": SERIES_CHUNKS}),
-        (SWEEP, {"time_series": SWEEP_POINTS, "partial_trace_field": SWEEP_CHUNKS,
+        (SWEEP, {"time_series": 1, "partial_trace_field": SWEEP_CHUNKS,
                  "partial_transpose": SWEEP_CHUNKS, "negativity": SWEEP_CHUNKS,
                  "first_negativity_zero": SWEEP_POINTS, "negativity_zero_count": SWEEP_POINTS,
                  "average_negativity": SWEEP_POINTS}),

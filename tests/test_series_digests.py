@@ -4,11 +4,12 @@
 the file it writes followed by what it prints to stdout. The table pins the
 CSV bytes across refactors of the sample pipeline: the 13 presets, entangled
 and custom preparations at several (delta, n_photon) points, and step counts
-on both sides of the time-series chunk boundary (2, 127, 128, 129 and 1001),
-plus sweeps: delta sweeps of the eg, ee, gg and singlet preparations (the
-singlet never crosses zero), eg sweeps at 2, 3, 129 and 1001 steps (crossings
-on both sides of the chunk boundary), a long-window eg sweep and two
-photon-number sweeps. It also pins the JSON report and the text table of six
+on both sides of 128 and 1024, chunk sizes of the sample pipeline (2, 127,
+128, 129, 1001, 1023, 1024 and 1025), plus sweeps: delta sweeps of the eg, ee, gg and
+singlet preparations (the singlet never crosses zero), eg sweeps at 2, 3, 129
+and 1001 steps (crossings on both sides of the chunk boundary), a long-window
+eg sweep, two photon-number sweeps over 0..9, and a delta sweep and a
+photon-number sweep over 0..3 whose rows cross a chunk boundary inside a point. It also pins the JSON report and the text table of six
 closed-form audits.
 
 Regenerate the table (only when an output change is intended) with::
@@ -39,7 +40,7 @@ CUSTOM_AMPLITUDES = ("0.6,0.8,0.8,0.6j", "0.28,0.96j,1,0")
 #: (delta, n_photon, tau_max) points for the prepared states.
 POINTS = (("0.0", "0", "10"), ("0.37", "3", "3.7"), ("1.0", "9", "10"))
 
-STEPS = ("2", "127", "128", "129", "1001")
+STEPS = ("2", "127", "128", "129", "1001", "1023", "1024", "1025")
 
 AUDIT_DELTAS = ("0", "0.37", "1")
 
@@ -72,6 +73,15 @@ def _cases() -> list[tuple[str, ...]]:
         ("--sweep", "delta:0.1:1.0:6", "--initial", "eg", "--n-photon", "2", "--tau-max", "1e6")
     )
     cases.append(("--sweep", "n_photon:0:9:10", "--initial", "gg"))
+    # 5 x 300 and 4 x 300 rows: the row stack of these sweeps crosses a
+    # 1024-row chunk boundary inside the fourth point.
+    cases.append(
+        ("--sweep", "delta:0:1:5", "--initial", "eg", "--n-photon", "2", "--steps", "300")
+    )
+    cases.append(
+        ("--sweep", "n_photon:0:3:4", "--initial", "custom", "--amplitudes",
+         CUSTOM_AMPLITUDES[0], "--delta", "0.4", "--steps", "300")
+    )
     cases.append(
         ("--sweep", "n_photon:0:9:10", "--initial", "custom", "--amplitudes",
          CUSTOM_AMPLITUDES[0], "--delta", "0.4", "--steps", "201")
