@@ -14,7 +14,6 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -33,7 +32,7 @@ from .dynamics import (
     time_series,
 )
 from .entanglement import CLASS_LABELS
-from .errors import TwoAtomCavityError
+from .errors import NotNormalized, TwoAtomCavityError
 from .model import (
     ATOMIC_STATE_NAMES,
     SystemParams,
@@ -48,9 +47,6 @@ EXIT_COMPUTATION_ERROR = 2
 
 RUN_MODES = ("series", "sweep", "audit")
 SWEEP_PARAMS = ("delta", "n_photon")
-
-#: Per-atom normalization tolerance for user-supplied custom amplitudes.
-CUSTOM_AMPLITUDE_TOL = 1e-9
 
 #: 12 significant digits, lowercase scientific notation.
 FLOAT_FORMAT = "{:.11e}"
@@ -121,7 +117,7 @@ class RunConfig:
     mode: str
     params: SystemParams
     initial: str
-    amplitudes: tuple[complex, complex, complex, complex] | None
+    amplitudes: TwoAtomAmplitudes | None
     tau_max: float
     steps: int
     output_path: str
@@ -190,10 +186,7 @@ def _parse_amplitudes(value: object) -> tuple[complex, complex, complex, complex
         raise ConfigError(f"amplitudes must be a comma list or array, got {value!r}")
     if len(parts) != 4:
         raise ConfigError(f"expected 4 amplitudes (a1,b1,a2,b2), got {len(parts)}")
-    amplitudes = tuple(_parse_complex(part) for part in parts)
-    if not all(cmath.isfinite(amplitude) for amplitude in amplitudes):
-        raise ConfigError(f"amplitudes must be finite, got {value!r}")
-    return amplitudes  # type: ignore[return-value]
+    return tuple(_parse_complex(part) for part in parts)  # type: ignore[return-value]
 
 
 def _real(name: str, value: object) -> float:
@@ -303,18 +296,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"initial must be one of {ATOMIC_STATE_NAMES + ('custom',)}, got {initial!r}"
         )
-    amplitudes = None
-    if initial == "custom":
-        if merged["amplitudes"] is None:
-            raise ConfigError("initial=custom needs --amplitudes a1,b1,a2,b2")
-        amplitudes = _normalized_custom_amplitudes(_parse_amplitudes(merged["amplitudes"]))
+    if initial == "custom" and merged["amplitudes"] is None:
+        raise ConfigError("initial=custom needs --amplitudes a1,b1,a2,b2")
 
+    amplitudes = None
     try:
+        if initial == "custom":
+            amplitudes = TwoAtomAmplitudes(*_parse_amplitudes(merged["amplitudes"]))
         params = SystemParams(
             delta=_real("delta", merged["delta"]),
             n_photon=_integer("n_photon", merged["n_photon"]),
         )
-    except ValueError as exc:
+    except (NotNormalized, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     tau_max = _real("tau_max", merged["tau_max"])
     steps = _integer("steps", merged["steps"])
@@ -336,28 +329,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _normalized_custom_amplitudes(
-    raw: tuple[complex, complex, complex, complex],
-) -> tuple[complex, complex, complex, complex]:
-    """Validate per-atom normalization within 1e-9, then renormalize exactly."""
-    a1, b1, a2, b2 = raw
-    pairs = []
-    for label, a, b in (("atom 1", a1, b1), ("atom 2", a2, b2)):
-        norm_sq = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm_sq - 1.0) >= CUSTOM_AMPLITUDE_TOL:
-            raise ConfigError(
-                f"{label} amplitudes have squared norm {norm_sq!r}; "
-                f"must be 1 within {CUSTOM_AMPLITUDE_TOL:.0e}"
-            )
-        scale = np.sqrt(norm_sq)
-        pairs.append((a / scale, b / scale))
-    return (pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1])
-
-
 def _initial_for(config: RunConfig):
     if config.initial == "custom":
-        a1, b1, a2, b2 = config.amplitudes  # type: ignore[misc]
-        return TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2)
+        return config.amplitudes
     return named_atomic_state(config.initial)
 
 

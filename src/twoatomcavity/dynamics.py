@@ -91,8 +91,8 @@ def _populated_blocks(points: list[SystemParams], atomic: np.ndarray) -> list[_B
     |eg> and |ge> for 1, |gg> for 2.  Below ``n = shift`` the block loses its
     states of negative photon number and has 3 or 1 states.  The blocks of
     equal size, over all shifts and points, are diagonalized in one stacked
-    call; a block's states sit at atomic index ``kept`` and photon level
-    ``offset + 2 - shift`` of the levels n-2..n+2.
+    :func:`linalg.eig_hermitian` call; a block's states sit at atomic index
+    ``kept`` and photon level ``offset + 2 - shift`` of the levels n-2..n+2.
     """
     offsets = np.array(BLOCK_PHOTON_OFFSETS)
     # (shift, kept) -> the points with that block and its rows in the stack of its size.
@@ -108,11 +108,12 @@ def _populated_blocks(points: list[SystemParams], atomic: np.ndarray) -> list[_B
             group.append(point)
             rows.append(len(stack))
             stack.append(hamiltonian)
-    spectra = {size: linalg._eigh_stack(np.stack(stack)) for size, stack in hamiltonians.items()}
+    spectra = {size: linalg.eig_hermitian(np.stack(stack)) for size, stack in hamiltonians.items()}
     stacks = []
     for (shift, kept), (group, rows) in members.items():
         atoms = np.array(kept)
-        eigenvalues, eigenvectors = (part[rows] for part in spectra[len(atoms)])
+        spectrum = spectra[len(atoms)]
+        eigenvalues, eigenvectors = spectrum.eigenvalues[rows], spectrum.eigenvectors[rows]
         start = np.where(offsets == shift, atomic, 0.0)[atoms]
         slots = np.full(len(points), -1)
         slots[group] = np.arange(len(group))
@@ -271,8 +272,10 @@ def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
     """Time average of the negativity over the sampled window.
 
     Computed as the trapezoid integral of the linear interpolant divided by
-    the window length.  The interior samples are summed one by one in
-    Python, not by ``np.sum``, whose pairwise summation rounds differently.
+    the window length.  The interior samples are added one by one, left to
+    right, not by ``np.sum``, whose pairwise summation rounds differently,
+    nor by the built-in ``sum``, which compensates from Python 3.12 on, so
+    every Python version gives the same bits.
     Columns of different shapes, or of fewer than two samples, raise
     ``ValueError``.
     """
@@ -280,8 +283,11 @@ def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
     if len(tau) < 2:
         raise ValueError("need at least two samples to average")
     values = negativity.tolist()
+    interior = 0.0
+    for value in values[1:-1]:
+        interior += value
     dt = tau[1].item() - tau[0].item()
-    integral = dt * (0.5 * values[0] + sum(values[1:-1]) + 0.5 * values[-1])
+    integral = dt * (0.5 * values[0] + interior + 0.5 * values[-1])
     window = tau[-1].item() - tau[0].item()
     return integral / window
 

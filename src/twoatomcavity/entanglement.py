@@ -14,8 +14,9 @@ the classifier first rules out, without an eigendecomposition, every state
 that provably gets no template label (``_may_match``): by the purity bound,
 the largest eigenvalue is at most the Frobenius norm; by the span bound, each
 template fidelity is at most ``tr(P rho) / max(PURITY_THRESHOLD, 1/4)`` for
-the template's projector ``P``.  It diagonalizes only the rest and fits every
-template to all of them at once (``_fit_stack``).  :func:`classify` takes one
+the template's projector ``P``.  It diagonalizes only the rest, in one
+stacked :func:`linalg.eig_hermitian` call, and fits every template to all of
+them at once (``_fit_stack``).  :func:`classify` takes one
 matrix, diagonalizes it past the gate without the bounds and reports the
 fidelity and coefficients of the fit.
 """
@@ -87,6 +88,8 @@ def negativity(rho: np.ndarray) -> NegativityResult:
     Raises:
         NotNormalized: naming the first matrix whose trace is off by
             ``TRACE_TOL`` or more, or is not finite.
+        NotHermitian, ValueError: from :func:`linalg.eig_hermitian`, for a
+            non-Hermitian or non-finite partial transpose.
         ValueError: for input whose last two axes are not 4x4.
     """
     rho = np.asarray(rho, dtype=np.complex128)
@@ -98,7 +101,7 @@ def negativity(rho: np.ndarray) -> NegativityResult:
         raise NotNormalized(
             f"density matrix trace {float(trace[off][0])!r} deviates from 1"
         )
-    pt_eigenvalues, _ = linalg._eigh_stack(linalg.partial_transpose(rho))
+    pt_eigenvalues = linalg.eig_hermitian(linalg.partial_transpose(rho)).eigenvalues
     return NegativityResult(np.sum(np.abs(pt_eigenvalues), axis=-1) - 1.0, pt_eigenvalues)
 
 
@@ -262,8 +265,9 @@ def _may_match(rho: np.ndarray) -> np.ndarray:
 def _fit_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 2-4 of :func:`classify` for states past the separability gate.
 
-    Diagonalizes every state and fits every template to all of their
-    dominant eigenvectors at once.
+    Diagonalizes every state in one stacked :func:`linalg.eig_hermitian`
+    call and fits every template to all of their dominant eigenvectors at
+    once.
 
     Returns:
         (indices into ``CLASS_LABELS`` ``(batch,)``, fidelities ``(batch,)``,
@@ -275,7 +279,8 @@ def _fit_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels = np.full(count, _UNCLASSIFIED)
     fidelities = np.zeros(count)
     coefficients = np.zeros((count, _MAX_COEFFICIENTS))
-    eigenvalues, eigenvectors = linalg._eigh_stack(rho)
+    spectrum = linalg.eig_hermitian(rho)
+    eigenvalues, eigenvectors = spectrum.eigenvalues, spectrum.eigenvectors
     fitted = np.flatnonzero(~(eigenvalues[:, -1] < PURITY_THRESHOLD))
     states = eigenvectors[fitted, :, -1]
     open_ = np.ones(len(fitted), dtype=bool)

@@ -2,17 +2,20 @@
 
 The production path only ever decomposes matrices of dimension at most 4
 (an excitation block or a two-atom reduced state).  ``MAX_DIM`` bounds the
-input of the public eigensolver entry points; it admits the truncated
+input of :func:`eig_hermitian`; it admits the truncated
 atoms-plus-field matrix of :func:`twoatomcavity.model.full_hamiltonian` up to
 64x64 (``n_photon = 9``), which the baseline benchmark decomposes.  All
 functions are pure and deterministic: identical inputs produce identical
 outputs.
 
-The partial trace and the partial transpose take any stack of states or
-matrices (a leading batch shape), so :func:`twoatomcavity.dynamics.time_series`
-evaluates a whole chunk of up to 1024 rows, which may span the points of a
-sweep, in one call of each, and diagonalizes the excitation blocks of one size
-of every point in one :func:`_eigh_stack` call.  Stacking changes no bits:
+The eigensolver, the partial trace and the partial transpose take any stack
+of matrices or states (a leading batch shape), so
+:func:`twoatomcavity.dynamics.time_series` diagonalizes the excitation blocks
+of one size of every point in one :func:`eig_hermitian` call and evaluates a
+whole chunk of up to 1024 rows, which may span the points of a sweep, in one
+call of each.  :func:`eig_hermitian` is the package's only eigensolver: the
+negativity, the classifier and the closed-form audit call it too.  Stacking
+changes no bits:
 NumPy's ``eigh`` and ``matmul`` apply the same LAPACK/BLAS routine to each
 matrix of a stack as to a single matrix.
 """
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NotHermitian, NotNormalized
 
-#: Largest matrix dimension accepted by the public eigensolver entry points.
+#: Largest matrix dimension accepted by :func:`eig_hermitian`.
 MAX_DIM = 64
 
 #: Tolerance on ``max|m - m^dagger|`` below which a matrix counts as Hermitian.
@@ -36,41 +39,28 @@ NORMALIZATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class HermitianEigensystem:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix or a stack of them.
 
     Attributes:
-        eigenvalues: real eigenvalues sorted ascending, shape ``(dim,)``.
+        eigenvalues: real eigenvalues sorted ascending, shape ``(..., d)``.
         eigenvectors: orthonormal eigenvectors as columns, shape
-            ``(dim, dim)``; column ``k`` belongs to ``eigenvalues[k]``.
+            ``(..., d, d)``; column ``k`` belongs to ``eigenvalues[..., k]``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def unitary(self, t: float) -> np.ndarray:
-        """``exp(-i * m * t)`` of the decomposed matrix ``m``.
+        """``exp(-i * m * t)`` of each decomposed matrix ``m``, shape ``(..., d, d)``.
 
-        At ``t == 0`` the exact identity matrix is returned, so downstream
+        At ``t == 0`` exact identity matrices are returned, so downstream
         consumers see bit-exact initial conditions.
         """
-        if t == 0.0:
-            return np.eye(len(self.eigenvalues), dtype=np.complex128)
-        phases = np.exp(-1j * self.eigenvalues * t)
         v = self.eigenvectors
-        return (v * phases) @ v.conj().T
-
-
-def _validate_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(
-            f"matrix dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}"
-        )
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return m.astype(np.complex128, copy=False)
+        if t == 0.0:
+            return np.broadcast_to(np.eye(v.shape[-1], dtype=np.complex128), v.shape).copy()
+        phases = np.exp(-1j * self.eigenvalues * t)
+        return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -83,42 +73,49 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
-def _eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a stack of Hermitian matrices, shape ``(..., d, d)``.
+def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
+    """Eigendecompose a Hermitian matrix or a stack of them.
 
-    Returns ascending eigenvalues ``(..., d)`` and eigenvector columns
-    ``(..., d, d)``.  Raises :class:`NotHermitian` if any matrix of the stack
-    is not Hermitian within ``HERMITICITY_TOL`` (non-finite entries fail this
-    check too) and :class:`ConvergenceFailure` on non-convergence.
+    Every eigendecomposition of the package goes through this function.  A
+    stack is decomposed by one ``eigh`` call, which gives each matrix the
+    bits of its own call.
+
+    Args:
+        m: square matrices ``(..., d, d)`` with ``d`` at most ``MAX_DIM``,
+            each Hermitian within ``HERMITICITY_TOL``.
+
+    Returns:
+        A :class:`HermitianEigensystem` of shapes ``(..., d)`` and
+        ``(..., d, d)`` with ascending eigenvalues.
+
+    Raises:
+        NotHermitian: if the Hermiticity check fails for any matrix.
+        ConvergenceFailure: if the underlying iteration does not converge.
+        ValueError: for non-square, oversized, or non-finite input.
     """
-    defect = hermiticity_defect(m)
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected square matrices (..., d, d), got shape {m.shape}")
+    if m.shape[-1] > MAX_DIM:
+        raise ValueError(
+            f"matrix dimension {m.shape[-1]} exceeds the supported maximum {MAX_DIM}"
+        )
+    m = m.astype(np.complex128, copy=False)
+    # A non-finite entry makes the defect NaN or infinite, so finite input
+    # is scanned once.
+    with np.errstate(invalid="ignore"):
+        defect = hermiticity_defect(m)
     if not defect < HERMITICITY_TOL:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix contains non-finite entries")
         raise NotHermitian(
             f"max|m - m^dagger| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     try:
-        return np.linalg.eigh(m)
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-
-
-def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
-    """Eigendecompose a Hermitian matrix.
-
-    Args:
-        m: square matrix, dimension at most ``MAX_DIM``, Hermitian within
-            ``HERMITICITY_TOL``.
-
-    Returns:
-        A :class:`HermitianEigensystem` with ascending eigenvalues.
-
-    Raises:
-        NotHermitian: if the Hermiticity check fails.
-        ConvergenceFailure: if the underlying iteration does not converge.
-        ValueError: for non-square, oversized, or non-finite input.
-    """
-    eigenvalues, eigenvectors = _eigh_stack(_validate_square(m)[None])
-    return HermitianEigensystem(eigenvalues=eigenvalues[0], eigenvectors=eigenvectors[0])
+    return HermitianEigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:

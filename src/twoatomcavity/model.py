@@ -18,14 +18,15 @@ for any block.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRoots, DomainError, NotNormalized
 
-#: Tolerance for per-atom amplitude normalization.
-AMPLITUDE_TOL = 1e-12
+#: Tolerance on ``| |a|^2 + |b|^2 - 1 |`` for each atom's amplitudes.
+AMPLITUDE_TOL = 1e-9
 
 #: Minimum root separation below which closed-form weights are refused.
 DEGENERACY_TOL = 1e-9
@@ -55,8 +56,12 @@ class SystemParams:
     def __post_init__(self) -> None:
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta!r}")
-        if int(self.n_photon) != self.n_photon or self.n_photon < 0:
-            raise ValueError(f"n_photon must be a non-negative integer, got {self.n_photon!r}")
+        # Every layer computes with float(n_photon), so it must fit a double.
+        if not 0 <= self.n_photon <= sys.float_info.max or int(self.n_photon) != self.n_photon:
+            raise ValueError(
+                f"n_photon must be a non-negative integer within float range, "
+                f"got {self.n_photon!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,12 @@ class TwoAtomAmplitudes:
     """Product initial state of the two atoms.
 
     Atom ``i`` starts in ``a_i |ground> + b_i |excited>`` with
-    ``|a_i|^2 + |b_i|^2 = 1``.
+    ``|a_i|^2 + |b_i|^2 = 1`` within ``AMPLITUDE_TOL``; :meth:`atomic_vector`
+    divides each pair by its norm.
+
+    Raises:
+        NotNormalized: if an atom's squared norm is off by ``AMPLITUDE_TOL``
+            or more, or is not finite.
     """
 
     a1: complex
@@ -74,24 +84,27 @@ class TwoAtomAmplitudes:
 
     def __post_init__(self) -> None:
         for label, a, b in (("atom 1", self.a1, self.b1), ("atom 2", self.a2, self.b2)):
-            norm_sq = abs(a) ** 2 + abs(b) ** 2
-            if abs(norm_sq - 1.0) >= AMPLITUDE_TOL:
+            try:
+                norm_sq = abs(a) ** 2 + abs(b) ** 2
+            except OverflowError:  # a magnitude beyond the square root of float range
+                norm_sq = np.inf
+            if not abs(norm_sq - 1.0) < AMPLITUDE_TOL:
                 raise NotNormalized(
                     f"{label} amplitudes have squared norm {norm_sq!r}, "
                     f"expected 1 within {AMPLITUDE_TOL:.0e}"
                 )
 
     def atomic_vector(self) -> np.ndarray:
-        """Amplitudes on (|ee>, |eg>, |ge>, |gg>) of the product state."""
-        return np.array(
-            [
-                self.b1 * self.b2,
-                self.b1 * self.a2,
-                self.a1 * self.b2,
-                self.a1 * self.a2,
-            ],
-            dtype=np.complex128,
-        )
+        """Amplitudes on (|ee>, |eg>, |ge>, |gg>) of the renormalized product state.
+
+        Each atom's pair is divided by ``sqrt(|a|^2 + |b|^2)``.
+        """
+        pairs = []
+        for a, b in ((self.a1, self.b1), (self.a2, self.b2)):
+            scale = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            pairs.append((a / scale, b / scale))
+        (a1, b1), (a2, b2) = pairs
+        return np.array([b1 * b2, b1 * a2, a1 * b2, a1 * a2], dtype=np.complex128)
 
 
 #: Named atomic states accepted across the library and the CLI.

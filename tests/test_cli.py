@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoatomcavity import cli, entanglement
+from twoatomcavity import cli, entanglement, model
 from twoatomcavity.dynamics import SeriesColumns, time_series
 from twoatomcavity.entanglement import CLASS_LABELS
 from twoatomcavity.errors import DegenerateRoots
@@ -91,6 +91,8 @@ class TestArgumentHandling:
             ["--delta", "nan"],
             ["--tau-max", "inf"],
             ["--initial", "custom", "--amplitudes", "1,0,nan,1"],
+            ["--initial", "custom", "--amplitudes", "1,0,inf,0"],
+            ["--initial", "custom", "--amplitudes", "1e200,0,1,0"],
             ["--sweep", "delta:nan:1:3"],
             ["--sweep", "n_photon:0:1:5"],
             ["--config", '{"n_photon": 2.7}'],
@@ -143,6 +145,39 @@ class TestArgumentHandling:
         for _ in range(2):
             assert run_cli(["--steps", "ten"]) == 1
             assert capsys.readouterr().err == fresh_error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--sweep", "delta:0:1:3"], ["--mode", "audit"]],
+        ids=["series", "sweep", "audit"],
+    )
+    def test_photon_number_beyond_float_range_exits_1(self, argv, capsys, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli([*argv, "--n-photon", "1" + "0" * 400, "--steps", "5",
+                        "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_photon must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("offset, code", [(5e-10, 0), (-5e-10, 0), (2e-9, 1), (-2e-9, 1)])
+    def test_amplitude_tolerance_is_1e_9(self, offset, code, capsys, tmp_path):
+        # atom 2's squared norm is 1 + offset.
+        b2 = repr(float(np.sqrt(0.36 + offset)))
+        out = tmp_path / "series.csv"
+        argv = ["--initial", "custom", "--amplitudes", f"0.6,0.8,0.8,{b2}", "--steps", "5"]
+        assert run_cli([*argv, "--output", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and out.exists()
+        else:
+            assert err.startswith("error: atom 2 amplitudes have squared norm")
+            assert err.count("\n") == 1 and not out.exists()
+
+    def test_one_amplitude_check(self):
+        assert not hasattr(cli, "_normalized_custom_amplitudes")
+        assert not hasattr(cli, "CUSTOM_AMPLITUDE_TOL")
+        assert model.AMPLITUDE_TOL == 1e-9
 
     def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"

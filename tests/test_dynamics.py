@@ -598,6 +598,12 @@ class TestSeriesStatistics:
         columns = columns_of([0.0, 2.0, 4.0], [0.3, 0.3, 0.3])
         assert average_negativity(*columns) == pytest.approx(0.3, abs=1e-15)
 
+    def test_average_adds_left_to_right_on_every_python(self):
+        # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum is 0.0; the
+        # compensated built-in sum of Python 3.12 and later would give 1.0.
+        columns = columns_of(range(5), [0.0, 1e16, 1.0, -1e16, 0.0])
+        assert average_negativity(*columns) == 0.0
+
     def test_average_needs_two_records(self):
         with pytest.raises(ValueError):
             average_negativity(*columns_of([0.0], [0.1]))

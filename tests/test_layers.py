@@ -24,6 +24,7 @@ LAYERS = (
     ("dynamics", "time_series"),
     ("linalg", "partial_trace_field"),
     ("linalg", "partial_transpose"),
+    ("linalg", "eig_hermitian"),
     ("entanglement", "negativity"),
     ("dynamics", "first_negativity_zero"),
     ("dynamics", "negativity_zero_count"),
@@ -69,14 +70,23 @@ SWEEP = ["--sweep", f"delta:0.1:1.0:{SWEEP_POINTS}", "--initial", "eg",
 SERIES_CHUNKS = math.ceil(SERIES_STEPS / _CHUNK_SAMPLES)
 SWEEP_CHUNKS = math.ceil(SWEEP_POINTS * SWEEP_STEPS / _CHUNK_SAMPLES)
 
+#: Eigendecompositions: one stacked call for the excitation blocks of each
+#: size (this series and sweep have one size), then per chunk one for the
+#: negativity and, in the series, one for the classifier's fit of the
+#: samples its bounds cannot rule out (every chunk of this series has some).
+SERIES_EIGH = 1 + 2 * SERIES_CHUNKS
+SWEEP_EIGH = 1 + SWEEP_CHUNKS
+
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
         (SERIES, {"time_series": 1, "partial_trace_field": SERIES_CHUNKS,
-                  "partial_transpose": SERIES_CHUNKS, "negativity": SERIES_CHUNKS}),
+                  "partial_transpose": SERIES_CHUNKS, "eig_hermitian": SERIES_EIGH,
+                  "negativity": SERIES_CHUNKS}),
         (SWEEP, {"time_series": 1, "partial_trace_field": SWEEP_CHUNKS,
-                 "partial_transpose": SWEEP_CHUNKS, "negativity": SWEEP_CHUNKS,
+                 "partial_transpose": SWEEP_CHUNKS, "eig_hermitian": SWEEP_EIGH,
+                 "negativity": SWEEP_CHUNKS,
                  "first_negativity_zero": SWEEP_POINTS, "negativity_zero_count": SWEEP_POINTS,
                  "average_negativity": SWEEP_POINTS}),
     ],

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from twoatomcavity import linalg
 from twoatomcavity.errors import NotHermitian, NotNormalized
 from twoatomcavity.linalg import (
     MAX_DIM,
@@ -110,6 +111,51 @@ class TestEigHermitian:
         matrix[1, 1] = np.nan
         with pytest.raises(ValueError):
             eig_hermitian(matrix)
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    def test_stack_equals_per_matrix_calls(self, rng, shape, dim):
+        matrices = np.array(
+            [random_hermitian(rng, dim) for _ in range(int(np.prod(shape)))]
+        ).reshape(*shape, dim, dim)
+        stacked = eig_hermitian(matrices)
+        assert stacked.eigenvalues.shape == (*shape, dim)
+        assert stacked.eigenvectors.shape == (*shape, dim, dim)
+        for t in (0.0, 1.7):
+            unitaries = stacked.unitary(t)
+            for index in np.ndindex(shape):
+                alone = eig_hermitian(matrices[index])
+                assert np.array_equal(stacked.eigenvalues[index], alone.eigenvalues)
+                assert np.array_equal(stacked.eigenvectors[index], alone.eigenvectors)
+                assert np.array_equal(unitaries[index], alone.unitary(t))
+
+    def test_one_non_hermitian_member_fails_the_stack(self, rng):
+        matrices = np.array([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        matrices[1, 2, 0, 3] += 1e-6
+        with pytest.raises(NotHermitian):
+            eig_hermitian(matrices)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_one_non_finite_member_fails_the_stack(self, rng, bad):
+        matrices = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        matrices[3, 2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_hermitian(matrices)
+
+    def test_rejects_oversized_stack(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            eig_hermitian(np.broadcast_to(np.eye(MAX_DIM + 1), (2, MAX_DIM + 1, MAX_DIM + 1)))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4, 5), (2, 0, 3)])
+    def test_rejects_non_square_stack(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            eig_hermitian(np.zeros(shape))
+
+
+def test_one_eigensolver():
+    # Every eigendecomposition goes through eig_hermitian, which takes stacks.
+    assert not hasattr(linalg, "_eigh_stack")
+    assert not hasattr(linalg, "_validate_square")
 
 
 class TestExpm:

@@ -79,6 +79,13 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(delta=0.0, n_photon=1.5)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("n_photon", [10**400, float("inf"), float("nan")])
+    def test_rejects_photon_number_beyond_float_range(self, n_photon):
+        # Every layer computes with float(n_photon); 10**400 has no double.
+        with pytest.raises(ValueError, match="float range"):
+            SystemParams(delta=0.0, n_photon=n_photon)
+        assert SystemParams(delta=0.0, n_photon=10**308).n_photon == 10**308
+
     def test_rejects_non_finite_delta(self):
         with pytest.raises(ValueError):
             SystemParams(delta=np.inf, n_photon=0)
@@ -98,9 +105,32 @@ class TestTwoAtomAmplitudes:
         assert vector[0] == 0.0 and vector[2] == 0.0
         assert vector[1] == 0.8 and vector[3] == 0.6j
 
-    def test_rejects_unnormalized_atom(self):
-        with pytest.raises(NotNormalized):
-            TwoAtomAmplitudes(a1=0.6, b1=0.9, a2=1.0, b2=0.0)
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            (0.6, 0.9, 1.0, 0.0),
+            (float("nan"), 1.0, 1.0, 0.0),
+            (1.0, 0.0, complex(0.0, float("nan")), 1.0),
+            (float("inf"), 0.0, 1.0, 0.0),
+            (1.0, 0.0, 1.0, complex(float("inf"), float("nan"))),
+            (1e200, 0.0, 1.0, 0.0),
+            (1.0, 0.0, complex(1e308, 1e308), 0.0),
+            (1.0 + 2e-9, 0.0, 1.0, 0.0),
+        ],
+        ids=["off", "nan", "nan_imag", "inf", "inf_nan", "square_overflows", "abs_overflows",
+             "off_by_2e-9"],
+    )
+    def test_rejects_unnormalized_atom(self, amplitudes):
+        with pytest.raises(NotNormalized, match="squared norm"):
+            TwoAtomAmplitudes(*amplitudes)
+
+    def test_renormalizes_each_atom_once(self):
+        # Within AMPLITUDE_TOL (1e-9) of unit norm: accepted, then divided by the norm.
+        scale = np.sqrt(1.0 + 5e-10)
+        amps = TwoAtomAmplitudes(a1=0.6 * scale, b1=0.8 * scale, a2=1.0, b2=0.0)
+        norm = np.sqrt(abs(0.6 * scale) ** 2 + abs(0.8 * scale) ** 2)
+        expected = [0.0, 0.8 * scale / norm, 0.0, 0.6 * scale / norm]
+        assert amps.atomic_vector().tolist() == expected
 
 
 class TestNamedStates:
