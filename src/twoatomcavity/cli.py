@@ -128,6 +128,9 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with code 1 on invalid flags."""
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
+        # argparse quotes unrecognized arguments and ambiguous options
+        # verbatim; a line break in one must not split the message.
+        message = "\\n".join(message.splitlines())
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
@@ -253,10 +256,14 @@ def _parse_sweep(value: object) -> SweepSpec:
 
 def _load_config_file(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
+        text = Path(path).read_text()
+    # ValueError: a NUL in the path, or bytes that are not UTF-8.
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        raw = json.loads(text)
+    # RecursionError: arrays or objects nested deeper than the decoder recurses.
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
@@ -437,11 +444,20 @@ def _format_series_rows(columns: SeriesColumns) -> list[str]:
     return rows
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write an artifact; a path that cannot be written is invalid input."""
+    try:
+        Path(path).write_text(text)
+    # ValueError: a NUL in the path.
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
+
+
 def run_series(config: RunConfig) -> int:
     """Write a CSV time series of populations, negativity, and class labels."""
     columns = time_series(config.params, _initial_for(config), config.tau_max, config.steps)
     lines = [SERIES_HEADER, *_format_series_rows(columns)]
-    Path(config.output_path).write_text("\n".join(lines) + "\n")
+    _write_output(config.output_path, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -472,7 +488,7 @@ def run_sweep(config: RunConfig) -> int:
             str(negativity_zero_count(negativity)),
         ]
         rows.append(",".join(row))
-    Path(config.output_path).write_text("\n".join(rows) + "\n")
+    _write_output(config.output_path, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -483,7 +499,7 @@ def run_audit(config: RunConfig) -> int:
     failures, so the exit status stays 0.
     """
     report = audit_closed_form(config.params, AUDIT_TAU_GRID)
-    Path(config.output_path).write_text(report.to_json() + "\n")
+    _write_output(config.output_path, report.to_json() + "\n")
     sys.stdout.write(report.to_text())
     return EXIT_OK
 

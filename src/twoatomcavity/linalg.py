@@ -14,10 +14,11 @@ of matrices or states (a leading batch shape), so
 of one size of every point in one :func:`eig_hermitian` call and evaluates a
 whole chunk of up to 1024 rows, which may span the points of a sweep, in one
 call of each.  :func:`eig_hermitian` is the package's only eigensolver: the
-negativity, the classifier and the closed-form audit call it too.  Stacking
-changes no bits:
-NumPy's ``eigh`` and ``matmul`` apply the same LAPACK/BLAS routine to each
-matrix of a stack as to a single matrix.
+negativity, the classifier and the closed-form audit call it too.
+:meth:`HermitianEigensystem.unitary` takes an array of times, so the audit
+builds the reference propagators of its whole time grid in one call.
+Stacking changes no bits: NumPy's ``eigh`` and ``matmul`` apply the same
+LAPACK/BLAS routine to each matrix of a stack as to a single matrix.
 """
 from __future__ import annotations
 
@@ -50,17 +51,22 @@ class HermitianEigensystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def unitary(self, t: float) -> np.ndarray:
-        """``exp(-i * m * t)`` of each decomposed matrix ``m``, shape ``(..., d, d)``.
+    def unitary(self, t: float | np.ndarray) -> np.ndarray:
+        """``exp(-i * m * t)`` of each decomposed matrix ``m`` at each time ``t``.
 
-        At ``t == 0`` exact identity matrices are returned, so downstream
-        consumers see bit-exact initial conditions.
+        ``t`` is a time or an array of times; the result has shape
+        ``t.shape + (..., d, d)``, and entry ``k`` of an array equals the
+        call at ``t[k]`` bit for bit.  Where ``t == 0`` exact identity
+        matrices are returned, so downstream consumers see bit-exact initial
+        conditions.
         """
         v = self.eigenvectors
-        if t == 0.0:
-            return np.broadcast_to(np.eye(v.shape[-1], dtype=np.complex128), v.shape).copy()
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        t = np.asarray(t, dtype=np.float64)
+        times = t.reshape(t.shape + (1,) * (v.ndim - 1))
+        phases = np.exp(-1j * self.eigenvalues * times)
+        u = (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        u[t == 0.0] = np.eye(v.shape[-1])
+        return u
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -20,7 +20,13 @@ routes is meaningful:
 - the classifier's per-matrix decision with its templates and thresholds
   declared again, diagonalizing every state past the separability gate (vs.
   the package's stacked classifier, which rules states out before
-  diagonalizing them).
+  diagonalizing them);
+- Wootters' concurrence, a second entanglement measure that bounds the
+  negativity from both sides (vs. the partial-transpose spectrum);
+- the closed-form audit as one loop over grid times and modes, evaluating
+  callables it is handed one matrix at a time (vs. the package's audit,
+  which evaluates both modes in one pass per time and stacks its reference
+  propagators over the grid).
 
 It also holds ``midline_crossing_count``, the oscillation count of
 acceptance criterion 07.
@@ -515,3 +521,60 @@ def record_classify(rho: np.ndarray) -> tuple[str, float, dict[str, float]]:
             return label, fidelity, dict(zip(names, coefficients.tolist()))
         best = float(np.fmax(best, fidelity))
     return "mixed_unclassified", best, {}
+
+
+#: sigma_y (x) sigma_y, the spin flip of two qubits (in any basis order that
+#: lists both atoms' levels alike).
+_SPIN_FLIP = np.kron(np.array([[0.0, -1j], [1j, 0.0]]), np.array([[0.0, -1j], [1j, 0.0]]))
+
+
+def wootters_concurrence(rho: np.ndarray) -> float:
+    """Concurrence of a two-qubit density matrix (Wootters, PRL 80, 2245, 1998).
+
+    ``C = max(0, l1 - l2 - l3 - l4)`` with ``l1 >= l2 >= l3 >= l4`` the square
+    roots of the eigenvalues of ``rho @ rho_tilde``, where ``rho_tilde =
+    (sy x sy) rho* (sy x sy)``.  With ``S = sqrt(rho)``, ``S rho_tilde S`` has
+    those eigenvalues and equals ``A A^dagger`` for ``A = S (sy x sy) S*``, so
+    the ``l`` are taken here as the singular values of ``A``.  Square roots of
+    eigenvalues of order 1e-16 would make an ``l`` of order 1e-8 on a
+    rank-deficient state; the singular values avoid that for ``rho_tilde``,
+    and only ``S`` takes square roots.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    weights, vectors = np.linalg.eigh(rho)
+    root = (vectors * np.sqrt(np.clip(weights, 0.0, None))) @ vectors.conj().T
+    l1, l2, l3, l4 = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    return max(0.0, float(l1 - l2 - l3 - l4))
+
+
+def negativity_bounds_from_concurrence(concurrence: float) -> tuple[float, float]:
+    """The range of the two-qubit negativity ``sum|eig(rho^T2)| - 1`` at concurrence ``C``.
+
+    ``sqrt((1 - C)^2 + C^2) - (1 - C) <= N <= C`` (Verstraete, Audenaert,
+    Dehaene & De Moor, J. Phys. A 34, 10327, 2001).
+    """
+    c = concurrence
+    return float(np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)), c
+
+
+def loop_audit(tau_grid, modes, closed_form, reference) -> tuple[dict, dict]:
+    """The closed-form audit's deviations and identity defects, one time and mode at a time.
+
+    ``closed_form(tau, mode)`` and ``reference(tau)`` return 4x4 matrices.
+    For each mode, the element-wise ``|closed - reference|`` is maximized
+    over the grid, non-finite deviations counting as infinity; at each
+    ``tau == 0`` the mode's ``|closed - I|`` is recorded.  Returns the two
+    dicts keyed by mode, as the package's audit report stores them.
+    """
+    deviations = {mode: np.zeros((4, 4)) for mode in modes}
+    identity_defects = {}
+    for tau in tau_grid:
+        closed = {mode: closed_form(tau, mode) for mode in modes}
+        expected = reference(tau)
+        for mode in modes:
+            deviation = np.abs(closed[mode] - expected)
+            deviation[~np.isfinite(deviation)] = np.inf
+            deviations[mode] = np.maximum(deviations[mode], deviation)
+            if tau == 0.0:
+                identity_defects[mode] = np.abs(closed[mode] - np.eye(4))
+    return deviations, identity_defects

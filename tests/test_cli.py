@@ -1,16 +1,19 @@
 """CLI tests: argument handling, outputs, determinism, exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from twoatomcavity import cli, entanglement, model
@@ -129,6 +132,41 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("computation error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["series", "sweep", "audit"])
+    @pytest.mark.parametrize("target", ["missing/out.dat", ".", "out\x00.dat"],
+                             ids=["missing_dir", "directory", "nul"])
+    def test_unwritable_output_exits_1(self, mode, target, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--mode", mode, "--steps", "5", "--output", target]
+        if mode == "sweep":
+            argv += ["--sweep", "delta:0:1:2"]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{", b"[" * 5000, b'{"a": ' * 5000],
+        ids=["not_utf8", "deep_array", "deep_object"],
+    )
+    def test_unreadable_config_file_exits_1(self, content, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        assert run_cli(["--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nul_in_config_path_exits_1(self, capsys):
+        assert run_cli(["--config", "run\x00.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("token", ["--bogus\nline", "stray\r\nline", "--s=\n"])
+    def test_line_breaks_in_arguments_stay_on_one_error_line(self, token, capsys):
+        assert run_cli([token]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("twoatomcavity: error: ") and err.count("\n") == 1
 
     def test_parser_is_built_once_and_reads_like_a_fresh_one(self, capsys, monkeypatch):
         assert run_cli(["--help"]) == 0
@@ -757,3 +795,166 @@ class TestDefaults:
         assert config.steps == 1001
         assert config.params == SystemParams(delta=0.0, n_photon=0)
         assert config.initial == "ee"
+
+
+# --- Fuzzing: generated argv lists and config files, run in process -------------
+
+#: Caps that keep every generated run small: grid points, sweep points and
+#: photon number.
+FUZZ_MAX_STEPS, FUZZ_MAX_COUNT, FUZZ_MAX_PHOTONS = 64, 8, 10**6
+
+_junk_text = st.text(max_size=12)
+_floats_any = st.floats(allow_nan=True, allow_infinity=True)
+_number_text = st.one_of(
+    _floats_any.map(repr),
+    st.sampled_from(["0", "-0", "1e400", "nan", "inf", "5e-324", "1e103", "1e308", "0x10", ""]),
+    _junk_text,
+)
+_delta_text = st.one_of(st.floats(-3.0, 3.0).map(repr), _number_text)
+_tau_text = st.one_of(st.floats(1e-3, 1e3).map(repr), _number_text)
+_photon_values = st.integers(-3, FUZZ_MAX_PHOTONS)
+_step_values = st.integers(-2, FUZZ_MAX_STEPS)
+_count_values = st.integers(-1, FUZZ_MAX_COUNT)
+_mode_values = st.sampled_from([*cli.RUN_MODES, "plot", ""])
+_initial_values = st.sampled_from([*model.ATOMIC_STATE_NAMES, "custom", "bell", ""])
+_amplitude_text = st.one_of(
+    st.sampled_from(["1,0,1,0", "0.6,0.8,0.8,0.6j", "0,1,1j,0", "1,0,1", "a,b,c,d", "1,0,nanj,0"]),
+    st.lists(_number_text, min_size=3, max_size=5).map(",".join),
+)
+
+
+@st.composite
+def _sweep_text(draw) -> str:
+    """``param:start:stop:count`` text, mostly well formed and always small."""
+    param = draw(st.sampled_from([*cli.SWEEP_PARAMS, "tau", ""]))
+    if param == "n_photon":
+        ends = st.integers(-2, FUZZ_MAX_PHOTONS).map(str)
+    else:
+        ends = _delta_text
+    parts = [param, draw(ends), draw(ends), str(draw(_count_values))]
+    if draw(st.integers(0, 9)) == 0:
+        del parts[draw(st.integers(0, 3))]
+    return ":".join(parts)
+
+
+_FLAG_VALUES = {
+    "--mode": _mode_values,
+    "--preset": st.sampled_from([*cli.PRESETS, "fig9"]),
+    "--delta": _delta_text,
+    "--n-photon": st.one_of(_photon_values.map(str), _junk_text),
+    "--initial": _initial_values,
+    "--amplitudes": _amplitude_text,
+    "--tau-max": _tau_text,
+    "--steps": st.one_of(_step_values.map(str), st.sampled_from(["2.5", "x", ""])),
+    "--sweep": _sweep_text(),
+    "--output": st.one_of(
+        st.just("out.dat"), st.sampled_from(["missing/out.dat", ".", "", "out\x00.dat"])
+    ),
+}
+
+
+#: Valid runs that the generated flags then add to or override.
+_BASE_RUNS = (
+    [],
+    ["--mode", "audit"],
+    ["--sweep", "delta:0:1:3"],
+    ["--sweep", "n_photon:0:4:3", "--initial", "gg"],
+    ["--preset", "fig3a"],
+    ["--initial", "custom", "--amplitudes", "0.6,0.8,0.8,0.6j"],
+)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A small valid run, then flags with generated values, flags without one and stray tokens."""
+    argv = [*draw(st.sampled_from(_BASE_RUNS)), "--steps", "8"]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            argv.append(draw(st.one_of(_junk_text, st.sampled_from(["-h", "--", "-", "--s=\n"]))))
+        else:
+            flag = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+            argv.append(flag)
+            if kind > 1:
+                argv.append(draw(_FLAG_VALUES[flag]))
+    return argv
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, FUZZ_MAX_COUNT), _floats_any, _junk_text
+)
+
+
+def _or_junk(values):
+    """Mostly ``values``; one draw in four a JSON scalar or list of any type."""
+    junk = st.one_of(_json_scalars, st.lists(_json_scalars, max_size=3))
+    return st.integers(0, 3).flatmap(lambda pick: values if pick else junk)
+
+
+_CONFIG_VALUES = {
+    "mode": _or_junk(_mode_values),
+    "delta": _or_junk(st.floats(-10.0, 10.0)),
+    "n_photon": _or_junk(st.one_of(_photon_values, _photon_values.map(float))),
+    "initial": _or_junk(_initial_values),
+    "amplitudes": _or_junk(
+        st.one_of(
+            _amplitude_text,
+            st.lists(st.one_of(_json_scalars, st.lists(_json_scalars, max_size=3)),
+                     min_size=4, max_size=4),
+        )
+    ),
+    "tau_max": _or_junk(st.floats(-1.0, 1e3)),
+    "steps": _or_junk(st.one_of(_step_values, _step_values.map(float))),
+    "output_path": _or_junk(_FLAG_VALUES["--output"]),
+    "sweep": _or_junk(
+        st.one_of(
+            _sweep_text(),
+            st.fixed_dictionaries(
+                {
+                    "param": _or_junk(st.sampled_from(cli.SWEEP_PARAMS)),
+                    "start": _or_junk(st.integers(0, 9)),
+                    "stop": _or_junk(st.integers(0, 9)),
+                    "count": _or_junk(_count_values),
+                }
+            ),
+        )
+    ),
+}
+
+
+@st.composite
+def _config_files(draw) -> str | bytes:
+    """Config-file contents: mostly a generated JSON object, sometimes text that is not one."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["[1, 2]", "{not json", "", b"\xff\xfe{", "[" * 5000]))
+    config = draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
+    if draw(st.integers(0, 9)) == 0:
+        config["unknown_key"] = draw(_json_scalars)
+    return json.dumps(config)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv(), config=st.one_of(st.none(), _config_files()))
+def test_fuzzed_runs_exit_0_1_or_2_with_one_error_line(argv, config):
+    """Any argv and config file: exit 0, 1 or 2, one stderr line on 1 or 2, never a raise."""
+    with tempfile.TemporaryDirectory() as workdir:
+        if config is not None:
+            path = Path(workdir, "config.json")
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            else:
+                path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        err, out = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(workdir)  # default and relative outputs land in the temp dir
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    event(f"exit {code}")
+    assert code in (cli.EXIT_OK, cli.EXIT_INVALID_INPUT, cli.EXIT_COMPUTATION_ERROR)
+    if code != cli.EXIT_OK:
+        message = err.getvalue()
+        assert message.endswith("\n") and message.count("\n") == 1, message

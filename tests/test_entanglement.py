@@ -27,12 +27,14 @@ from oracles import (
     CLASSIFIER_TEMPLATES,
     CLASSIFIER_THRESHOLDS,
     brute_negativity,
+    negativity_bounds_from_concurrence,
     random_local_unitary,
     random_product_atomic_state,
     random_state,
     record_classify,
     werner_pt_eigenvalues,
     werner_state,
+    wootters_concurrence,
 )
 
 
@@ -126,6 +128,42 @@ class TestNegativity:
         states[1, 0] *= 2.0
         with pytest.raises(NotNormalized, match=r"trace 1\.5 deviates"):
             negativity(states)
+
+
+class TestConcurrenceOracle:
+    """The concurrence must be right before it can bound the negativity."""
+
+    def test_singlet_is_maximal(self):
+        singlet = pure_rho(named_atomic_state("singlet"))
+        assert wootters_concurrence(singlet) == pytest.approx(1.0, abs=1e-12)
+
+    def test_product_states_have_none(self, rng):
+        for _ in range(8):
+            rho = pure_rho(random_product_atomic_state(rng))
+            assert wootters_concurrence(rho) < 1e-7
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
+    def test_werner_family_closed_form(self, p):
+        # Concurrence and negativity coincide on Werner states: max(0, (3p - 1)/2).
+        expected = max(0.0, (3.0 * p - 1.0) / 2.0)
+        assert wootters_concurrence(werner_state(p)) == pytest.approx(expected, abs=1e-12)
+
+    def test_pure_states_have_concurrence_2_abs_ad_minus_bc(self, rng):
+        for _ in range(8):
+            a, b, c, d = random_state(rng, 4)
+            expected = 2.0 * abs(a * d - b * c)
+            assert wootters_concurrence(pure_rho([a, b, c, d])) == pytest.approx(expected, abs=1e-7)
+
+    def test_bounds_meet_at_the_ends(self):
+        assert negativity_bounds_from_concurrence(0.0) == (0.0, 0.0)
+        assert negativity_bounds_from_concurrence(1.0) == (1.0, 1.0)
+
+    def test_negativity_of_mixtures_lies_within_the_bounds(self, rng):
+        for _ in range(20):
+            weights = rng.dirichlet(np.ones(3))
+            rho = sum(w * pure_rho(random_state(rng, 4)) for w in weights)
+            lower, upper = negativity_bounds_from_concurrence(wootters_concurrence(rho))
+            assert lower - 1e-12 <= negativity(rho).value <= upper + 1e-12
 
 
 class TestClassifyGates:

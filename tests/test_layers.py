@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twoatomcavity import cli
@@ -29,6 +30,11 @@ LAYERS = (
     ("dynamics", "first_negativity_zero"),
     ("dynamics", "negativity_zero_count"),
     ("dynamics", "average_negativity"),
+    ("model", "spectral_quantities"),
+    ("linalg", "expm_i_hermitian"),
+    ("propagator", "propagate_spectral"),
+    ("propagator", "propagate_closed_form"),
+    ("propagator", "_closed_form_matrices"),
 )
 
 
@@ -101,6 +107,31 @@ def test_cli_runs_reach_every_wrapped_layer(tmp_path, argv, expected):
         assert cli.main([*argv, "--output", str(traced)]) == 0
     assert dict(calls) == expected
     assert traced.read_bytes() == plain.read_bytes()
+
+
+AUDIT = ["--mode", "audit", "--delta", "0.37", "--n-photon", "4"]
+
+
+@pytest.mark.parametrize("grid_length", [1, 2, 21, 50])
+def test_cli_audit_decomposes_once_whatever_the_grid(tmp_path, capsys, grid_length):
+    """One eigendecomposition and one root computation per audit, and one
+    closed-form pass per grid time that covers both modes."""
+    grid = tuple(np.linspace(0.0, 10.0, grid_length).tolist())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "AUDIT_TAU_GRID", grid)
+        plain = tmp_path / "plain.json"
+        assert cli.main([*AUDIT, "--output", str(plain)]) == 0
+        plain_text = capsys.readouterr().out
+        calls = count_layer_calls(patch)
+        traced = tmp_path / "traced.json"
+        assert cli.main([*AUDIT, "--output", str(traced)]) == 0
+    assert dict(calls) == {
+        "eig_hermitian": 1,
+        "spectral_quantities": 1,
+        "_closed_form_matrices": grid_length,
+    }
+    assert traced.read_bytes() == plain.read_bytes()
+    assert capsys.readouterr().out == plain_text
 
 
 def test_benchmark_tracer_finds_every_traced_name():

@@ -152,6 +152,43 @@ class TestEigHermitian:
             eig_hermitian(np.zeros(shape))
 
 
+class TestUnitaryOverTimes:
+    """``unitary`` of an array of times stacks its single-time calls."""
+
+    TIMES = np.array([1.7, 0.0, -0.4, 1e6, 0.0, 3.3e-9, 5.0, -0.0])
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    def test_each_time_equals_its_own_call_bit_for_bit(self, rng, shape, dim):
+        matrices = np.array(
+            [random_hermitian(rng, dim) for _ in range(int(np.prod(shape)))]
+        ).reshape(*shape, dim, dim)
+        system = eig_hermitian(matrices)
+        unitaries = system.unitary(self.TIMES)
+        assert unitaries.shape == (len(self.TIMES), *shape, dim, dim)
+        assert unitaries.dtype == np.complex128
+        for k, t in enumerate(self.TIMES.tolist()):
+            assert unitaries[k].tobytes() == system.unitary(t).tobytes(), t
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_exact_identities_where_time_is_zero(self, rng, shape):
+        matrices = np.array(
+            [random_hermitian(rng, 4) for _ in range(int(np.prod(shape)))]
+        ).reshape(*shape, 4, 4)
+        unitaries = eig_hermitian(matrices).unitary(self.TIMES)
+        identities = np.broadcast_to(np.eye(4, dtype=np.complex128), (*shape, 4, 4))
+        for k in np.flatnonzero(self.TIMES == 0.0):
+            assert unitaries[k].tobytes() == identities.tobytes()
+        assert not np.array_equal(unitaries[0], identities)
+
+    def test_array_of_times_keeps_its_shape(self, rng):
+        system = eig_hermitian(random_hermitian(rng, 3))
+        times = self.TIMES.reshape(2, 4)
+        unitaries = system.unitary(times)
+        assert unitaries.shape == (2, 4, 3, 3)
+        assert unitaries[1, 3].tobytes() == system.unitary(times[1, 3]).tobytes()
+
+
 def test_one_eigensolver():
     # Every eigendecomposition goes through eig_hermitian, which takes stacks.
     assert not hasattr(linalg, "_eigh_stack")

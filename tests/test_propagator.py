@@ -5,8 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from twoatomcavity.model import DEFAULT_CUTOFF_MARGIN, SystemParams, spectral_quantities
+from twoatomcavity.errors import DegenerateRoots, DomainError
+from twoatomcavity.linalg import eig_hermitian
+from twoatomcavity.model import (
+    DEFAULT_CUTOFF_MARGIN,
+    SystemParams,
+    spectral_quantities,
+    subspace_hamiltonian,
+)
 from twoatomcavity.propagator import (
     AUDIT_TOL,
     CLOSED_FORM_MODES,
@@ -18,7 +27,7 @@ from twoatomcavity.propagator import (
     propagate_spectral,
 )
 
-from oracles import FullSpaceOracle, rk4_evolve
+from oracles import FullSpaceOracle, loop_audit, rk4_evolve
 
 PARAM_GRID = [
     SystemParams(delta=delta, n_photon=n)
@@ -252,3 +261,56 @@ class TestAudit:
         assert payload["elements"][0]["strict"]["max_deviation"] == "inf"
         assert payload["elements"][0]["strict"]["verdict"] == "mismatch"
         assert payload["elements"][1]["strict"]["verdict"] == "match"
+
+
+@st.composite
+def _audit_grids(draw) -> list[float]:
+    """Grids of times up to 1e6 with no zero, one zero or a repeated zero, sorted or not."""
+    grid = draw(st.lists(st.floats(1e-9, 1e6), min_size=0, max_size=24))
+    for _ in range(draw(st.integers(0, 2))):
+        grid.insert(draw(st.integers(0, len(grid))), 0.0)
+    if not grid:
+        grid.append(draw(st.floats(1e-9, 1e6)))
+    return sorted(grid) if draw(st.booleans()) else grid
+
+
+def loop_audit_report(params: SystemParams, tau_grid) -> AuditReport:
+    """The audit report built from one public closed-form and spectral call per time and mode."""
+    tau_values = [float(tau) for tau in tau_grid]
+    deviations, identity_defects = loop_audit(
+        tau_values,
+        CLOSED_FORM_MODES,
+        lambda tau, mode: propagate_closed_form(params, tau, mode),
+        lambda tau: eig_hermitian(subspace_hamiltonian(params)).unitary(tau),
+    )
+    return AuditReport(
+        delta=float(params.delta),
+        n_photon=params.n_photon,
+        tau_grid=tuple(tau_values),
+        deviations=deviations,
+        identity_defects=identity_defects,
+    )
+
+
+def _outcome(build, params, grid):
+    try:
+        report = build(params, grid)
+    except (DegenerateRoots, DomainError) as exc:
+        return type(exc), str(exc)
+    return report.to_json(), report.to_text()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    delta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    n_photon=st.integers(0, 10**6),
+    grid=_audit_grids(),
+)
+@example(delta=0.37, n_photon=4, grid=list(np.linspace(0.0, 10.0, 21)))
+@example(delta=0.0, n_photon=10**6, grid=[5.0, 0.0, 1e6, 0.0])
+@example(delta=3e102, n_photon=3, grid=[0.0, 1.0, 7.5])
+@example(delta=1e103, n_photon=0, grid=[0.0, 1.0])
+def test_audit_equals_the_loop_built_report_byte_for_byte(delta, n_photon, grid):
+    """One closed-form pass per time and the stacked reference change no byte of either report."""
+    params = SystemParams(delta=delta, n_photon=n_photon)
+    assert _outcome(audit_closed_form, params, grid) == _outcome(loop_audit_report, params, grid)
