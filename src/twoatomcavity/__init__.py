@@ -16,7 +16,7 @@ from .dynamics import (
     populations,
     time_series,
 )
-from .entanglement import ClassMatch, NegativityResult, classify, negativity
+from .entanglement import ClassMatch, classify, negativity
 from .errors import (
     ConvergenceFailure,
     DegenerateRoots,
@@ -57,7 +57,6 @@ __all__ = [
     "DegenerateRoots",
     "DomainError",
     "HermitianEigensystem",
-    "NegativityResult",
     "NotHermitian",
     "NotNormalized",
     "SeriesColumns",

@@ -323,7 +323,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not (0.0 < tau_max < math.inf):
         raise ConfigError(f"tau_max must be positive and finite, got {tau_max}")
 
-    output_path = merged["output_path"] or _DEFAULT_OUTPUTS[mode]
+    output_path = merged["output_path"]
+    if not (output_path is None or isinstance(output_path, str)):
+        raise ConfigError(f"output_path must be a string or null, got {output_path!r}")
+    output_path = output_path or _DEFAULT_OUTPUTS[mode]
     return RunConfig(
         mode=mode,
         params=params,
@@ -331,7 +334,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         amplitudes=amplitudes,
         tau_max=tau_max,
         steps=steps,
-        output_path=str(output_path),
+        output_path=output_path,
         sweep=sweep,
     )
 

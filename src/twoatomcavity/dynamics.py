@@ -161,9 +161,10 @@ def time_series(
     point.  The rows (point, sample) are then evaluated in chunks of
     ``_CHUNK_SAMPLES`` rows, which may span points: each chunk costs one
     stacked phase rotation per block shape, one stacked partial trace over
-    the five photon levels n-2..n+2, one stacked partial-transpose spectrum
-    for the negativity and, when ``labels`` is true, one classification pass
-    that reuses that negativity.  Each row depends only on its own point and
+    the five photon levels n-2..n+2, one negativity call (a stacked
+    partial-transpose spectrum of the samples it cannot certify separable)
+    and, when ``labels`` is true, one classification pass that reuses that
+    negativity.  Each row depends only on its own point and
     sample, so a point's columns do not depend on the chunking or on the
     other points.  At ``tau = 0`` the initial state is used bit-exactly.
 
@@ -214,7 +215,7 @@ def time_series(
             )[:, :, 0]
         amplitudes[tau == 0.0] = prepared
         rho = linalg.partial_trace_field(amplitudes)
-        degree = entanglement.negativity(rho).value
+        degree = entanglement.negativity(rho)
         populations_column[chunk] = populations(rho)
         negativity_column[chunk] = degree
         if label_column is not None:

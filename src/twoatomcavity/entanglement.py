@@ -9,7 +9,15 @@ its thresholds are the module constants below.
 
 :func:`negativity` takes a single density matrix or any stack of them: the
 time series computes each sample's degree once and hands it to the stacked
-classifier (``_classify_stack``).  Of the states past the separability gate,
+classifier (``_classify_stack``).  A two-qubit state with a positive
+semidefinite partial transpose (PPT) is separable, so :func:`negativity`
+first certifies, without an eigendecomposition, the samples whose partial
+transpose is PSD (``_ppt_certified``: two 2x2 blocks for an X-form matrix, a
+Cholesky factorization for any other, each with the margin ``_PPT_MARGIN``)
+and gives them the exact degree 0.0; it decomposes only the rest, in one
+stacked :func:`linalg.eig_hermitian` call.  Every sample still passes the
+trace check and the Hermiticity and finiteness checks of
+:func:`linalg.checked_hermitian`.  Of the states past the separability gate,
 the classifier first rules out, without an eigendecomposition, every state
 that provably gets no template label (``_may_match``): by the purity bound,
 the largest eigenvalue is at most the Frobenius norm; by the span bound, each
@@ -57,19 +65,6 @@ CLASS_LABELS = (
 
 
 @dataclass(frozen=True)
-class NegativityResult:
-    """Entanglement degrees plus the partial-transpose spectra behind them.
-
-    For input of shape ``(..., 4, 4)``, ``value`` has shape ``(...)`` and
-    ``pt_eigenvalues`` shape ``(..., 4)``; for one matrix, ``value`` is an
-    ``np.float64``.
-    """
-
-    value: np.ndarray
-    pt_eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClassMatch:
     """Classifier outcome: label, fit quality, and fitted coefficients."""
 
@@ -78,18 +73,112 @@ class ClassMatch:
     template_params: dict[str, float]
 
 
-def negativity(rho: np.ndarray) -> NegativityResult:
+#: Smallest eigenvalue, up to round-off, that the PSD certificate of
+#: :func:`negativity` demands of a partial transpose.
+_PPT_MARGIN = 1e-12
+
+#: Fewer certified samples than this are decomposed with the rest of their
+#: stack: gathering the rest costs about as much as decomposing 32 matrices.
+_SPLIT_MIN = 32
+
+#: Flat positions, in a 4x4 matrix, of the lower entries off the diagonal
+#: and the anti-diagonal.
+_OFF_X = (4, 8, 13, 14)
+
+
+def _x_block_certified(flat: np.ndarray, a: int, d: int, z: int) -> np.ndarray:
+    """Mask of the rows of ``flat`` (flattened 4x4 matrices) whose 2x2 block
+    ``[[a, z*], [z, d]]``, given by the flat positions of its entries, passes
+    the X rule of :func:`_ppt_certified`."""
+    a, d, z = flat[:, a].real, flat[:, d].real, flat[:, z]
+    determinant = a * d - (z.real**2 + z.imag**2)
+    return (np.minimum(a, d) >= 0.0) & ((z == 0.0) | (determinant > _PPT_MARGIN * (a + d)))
+
+
+def _cholesky_certified(m: np.ndarray) -> np.ndarray:
+    """Mask ``(batch,)`` of the 4x4 matrices for which the Cholesky factorization
+    of ``m - _PPT_MARGIN * I``, read from the lower triangle and the real
+    diagonal, completes with positive pivots.
+
+    Its backward error, about 1e-15 for unit-trace input, cannot reach the
+    margin, so a certified matrix is positive definite.  A matrix fails at
+    its first pivot that is not positive; the NaN or infinite entries that
+    pivot leaves in the later columns do not matter.
+    """
+    factor = {}
+    certified = np.ones(len(m), dtype=bool)
+    for j in range(4):
+        pivot = m[:, j, j].real - _PPT_MARGIN
+        for k in range(j):
+            pivot = pivot - (factor[j, k].real ** 2 + factor[j, k].imag ** 2)
+        certified &= pivot > 0.0
+        root = np.sqrt(pivot)
+        for i in range(j + 1, 4):
+            entry = m[:, i, j]
+            for k in range(j):
+                entry = entry - factor[i, k] * factor[j, k].conj()
+            factor[i, j] = entry / root
+    return certified
+
+
+def _ppt_certified(pt: np.ndarray) -> np.ndarray:
+    """Mask ``(batch,)`` of the partial transposes certified PSD without an
+    eigendecomposition.
+
+    Only the lower triangle and the real diagonal are read: the matrix that
+    ``numpy.linalg.eigh`` decomposes.  An X-form matrix (every entry off the
+    diagonal and the anti-diagonal exactly 0) is two 2x2 blocks
+    ``[[a, z*], [z, d]]``; a block passes when ``a, d >= 0`` and either
+    ``z == 0`` or ``a*d - |z|^2 > _PPT_MARGIN * (a + d)``, which puts its
+    smaller eigenvalue, at least ``det / (a + d)``, above the margin.  Any
+    other matrix goes through :func:`_cholesky_certified`.  A NaN entry
+    fails every comparison, so its matrix is never certified.
+
+    Both rules need the principal block {0, 3} to be PSD, so the matrices
+    whose block fails ``a, d >= 0`` and ``a*d - |z|^2 >= 0`` are rejected
+    before anything else is read: the X rule tests this very determinant,
+    and a matrix that the Cholesky rule certifies has a block whose smaller
+    eigenvalue exceeds the margin less about 1e-15, which keeps its computed
+    determinant positive for unit-trace input.
+    """
+    flat = pt.reshape(len(pt), 16)
+    certified = np.zeros(len(pt), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        a, d, z = flat[:, 0].real, flat[:, 15].real, flat[:, 12]
+        rows = np.flatnonzero(
+            (np.minimum(a, d) >= 0.0) & (a * d - (z.real**2 + z.imag**2) >= 0.0)
+        )
+        if rows.size == 0:
+            return certified
+        flat = flat[rows]
+        x_form = flat[:, _OFF_X[0]] == 0.0
+        for position in _OFF_X[1:]:
+            x_form &= flat[:, position] == 0.0
+        certified[rows] = (
+            x_form & _x_block_certified(flat, 0, 15, 12) & _x_block_certified(flat, 5, 10, 9)
+        )
+        general = rows[~x_form]
+        if general.size:
+            certified[general] = _cholesky_certified(pt[general])
+    return certified
+
+
+def negativity(rho: np.ndarray) -> np.ndarray:
     """Entanglement degree of two-atom density matrices ``(..., 4, 4)``.
 
-    Computes the eigenvalues of the partial transpose over the second atom
-    and returns ``sum(|eigenvalues|) - 1``.  No rounding or snapping is
-    applied; separable states land within round-off of zero.
+    Returns an array of shape ``(...)``, an ``np.float64`` for one matrix.
+    A two-qubit state whose partial transpose over the second atom is
+    positive semidefinite is separable (Peres 1996; Horodecki, Horodecki &
+    Horodecki 1996) and gets the exact degree 0.0 when :func:`_ppt_certified`
+    shows its partial transpose to be PSD.  Every other state gets
+    ``sum(|eigenvalues|) - 1`` of its partial transpose, from one stacked
+    :func:`linalg.eig_hermitian` call, with no rounding or snapping.
 
     Raises:
         NotNormalized: naming the first matrix whose trace is off by
             ``TRACE_TOL`` or more, or is not finite.
-        NotHermitian, ValueError: from :func:`linalg.eig_hermitian`, for a
-            non-Hermitian or non-finite partial transpose.
+        NotHermitian, ValueError: from :func:`linalg.checked_hermitian`, for
+            a non-Hermitian or non-finite partial transpose.
         ValueError: for input whose last two axes are not 4x4.
     """
     rho = np.asarray(rho, dtype=np.complex128)
@@ -101,8 +190,20 @@ def negativity(rho: np.ndarray) -> NegativityResult:
         raise NotNormalized(
             f"density matrix trace {float(trace[off][0])!r} deviates from 1"
         )
-    pt_eigenvalues = linalg.eig_hermitian(linalg.partial_transpose(rho)).eigenvalues
-    return NegativityResult(np.sum(np.abs(pt_eigenvalues), axis=-1) - 1.0, pt_eigenvalues)
+    pt = linalg.partial_transpose(rho).reshape(-1, 4, 4)
+    certified = _ppt_certified(pt)
+    if np.count_nonzero(certified) < _SPLIT_MIN:
+        spectra = linalg.eig_hermitian(pt)
+        degree = np.sum(np.abs(spectra.eigenvalues), axis=-1) - 1.0
+        degree[certified] = 0.0
+        return degree.reshape(rho.shape[:-2])[()]
+    linalg.checked_hermitian(pt)
+    degree = np.zeros(len(pt))
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        spectra = linalg.eig_hermitian(pt[rest])
+        degree[rest] = np.sum(np.abs(spectra.eigenvalues), axis=-1) - 1.0
+    return degree.reshape(rho.shape[:-2])[()]
 
 
 @dataclass(frozen=True)
@@ -337,7 +438,7 @@ def classify(rho: np.ndarray) -> ClassMatch:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if negativity(rho).value < SEPARABLE_THRESHOLD:
+    if negativity(rho) < SEPARABLE_THRESHOLD:
         return ClassMatch(label="separable", fidelity=0.0, template_params={})
     labels, fidelities, coefficients = _fit_stack(rho[None])
     label = CLASS_LABELS[labels[0]]

@@ -14,7 +14,9 @@ of matrices or states (a leading batch shape), so
 of one size of every point in one :func:`eig_hermitian` call and evaluates a
 whole chunk of up to 1024 rows, which may span the points of a sweep, in one
 call of each.  :func:`eig_hermitian` is the package's only eigensolver: the
-negativity, the classifier and the closed-form audit call it too.
+negativity, the classifier and the closed-form audit call it too.  Its
+checks are :func:`checked_hermitian`, which the negativity also runs, so
+that the matrices it certifies without decomposing them are checked too.
 :meth:`HermitianEigensystem.unitary` takes an array of times, so the audit
 builds the reference propagators of its whole time grid in one call.
 Stacking changes no bits: NumPy's ``eigh`` and ``matmul`` apply the same
@@ -79,24 +81,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
-def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
-    """Eigendecompose a Hermitian matrix or a stack of them.
+def checked_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m`` as complex128 after the checks of :func:`eig_hermitian`.
 
-    Every eigendecomposition of the package goes through this function.  A
-    stack is decomposed by one ``eigh`` call, which gives each matrix the
-    bits of its own call.
-
-    Args:
-        m: square matrices ``(..., d, d)`` with ``d`` at most ``MAX_DIM``,
-            each Hermitian within ``HERMITICITY_TOL``.
-
-    Returns:
-        A :class:`HermitianEigensystem` of shapes ``(..., d)`` and
-        ``(..., d, d)`` with ascending eigenvalues.
+    Callers that decide from the matrices themselves which of them to
+    decompose, such as the negativity's PSD certificate, check the whole
+    stack here first, so that every matrix raises as it would in
+    :func:`eig_hermitian`.
 
     Raises:
         NotHermitian: if the Hermiticity check fails for any matrix.
-        ConvergenceFailure: if the underlying iteration does not converge.
         ValueError: for non-square, oversized, or non-finite input.
     """
     m = np.asarray(m)
@@ -117,6 +111,30 @@ def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
         raise NotHermitian(
             f"max|m - m^dagger| = {defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
+    return m
+
+
+def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
+    """Eigendecompose a Hermitian matrix or a stack of them.
+
+    Every eigendecomposition of the package goes through this function.  A
+    stack is decomposed by one ``eigh`` call, which gives each matrix the
+    bits of its own call.
+
+    Args:
+        m: square matrices ``(..., d, d)`` with ``d`` at most ``MAX_DIM``,
+            each Hermitian within ``HERMITICITY_TOL``.
+
+    Returns:
+        A :class:`HermitianEigensystem` of shapes ``(..., d)`` and
+        ``(..., d, d)`` with ascending eigenvalues.
+
+    Raises:
+        NotHermitian: if the Hermiticity check fails for any matrix.
+        ConvergenceFailure: if the underlying iteration does not converge.
+        ValueError: for non-square, oversized, or non-finite input.
+    """
+    m = checked_hermitian(m)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

@@ -13,6 +13,8 @@ routes is meaningful:
 - a cofactor-expansion 3x3 determinant (vs. the trigonometric root formulas);
 - loop-based partial trace and partial transpose (vs. vectorized reshapes);
 - the closed-form partial-transpose spectrum of a Werner state;
+- every single-block preparation (``ee``, ``eg``, ``ge``, the singlet,
+  ``gg``) evolved in 40-digit ``mpmath`` arithmetic (vs. double precision);
 - the three-rung symmetric excitation ladder with a closed-form X-state
   negativity (vs. the full space and a 4x4 partial-transpose spectrum);
 - record-loop negativity statistics, one Python loop over sampled records
@@ -370,17 +372,32 @@ def midline_crossing_count(values) -> int:
     return count
 
 
-def exact_excited_pair_series(
-    delta: float, n_photon: int, tau_max: float, steps: int, dps: int = 40
-) -> list[tuple]:
-    """Populations and negativity of ``|ee, n>`` on a uniform grid, at ``dps`` digits.
+#: Single-block preparations: the photon shift of their block (its lowest
+#: photon number is ``n - shift``) and their amplitudes, up to normalization,
+#: on its states ``(ee, m), (eg, m+1), (ge, m+1), (gg, m+2)``.
+SINGLE_BLOCK_STARTS = {
+    "ee": (0, (1, 0, 0, 0)),
+    "eg": (1, (0, 1, 0, 0)),
+    "ge": (1, (0, 0, 1, 0)),
+    "singlet": (1, (0, 1, -1, 0)),
+    "gg": (2, (0, 0, 0, 1)),
+}
 
-    The pair rides the excitation block ``(ee, n), (eg, n+1), (ge, n+1),
-    (gg, n+2)`` with diagonal ``(+delta, 0, 0, -delta)`` and couplings
-    ``sqrt(n+1)`` and ``sqrt(n+2)``.  The block is diagonalized once in
-    ``mpmath`` arithmetic and each sample ``tau_k = k * tau_max / (steps - 1)``
-    rotates the phases of its eigenvectors.  Tracing out the field leaves an
-    X-state whose only coherence is ``eg/ge``; its partial transpose has the
+
+def exact_single_block_series(
+    start: str, delta: float, n_photon: int, tau_max: float, steps: int, dps: int = 40
+) -> list[tuple]:
+    """Populations and negativity of ``|start, n>`` on a uniform grid, at ``dps`` digits.
+
+    Every named preparation lies in one excitation block ``(ee, m), (eg, m+1),
+    (ge, m+1), (gg, m+2)`` with ``m = n - shift`` (:data:`SINGLE_BLOCK_STARTS`),
+    diagonal ``(+delta, 0, 0, -delta)`` and couplings ``sqrt(m+1)`` and
+    ``sqrt(m+2)``.  States of negative photon number do not exist and are
+    dropped: ``gg`` at ``n = 1`` rides a three-state block, at ``n = 0`` a
+    single stationary state.  The block is diagonalized once in ``mpmath``
+    arithmetic and each sample ``tau_k = k * tau_max / (steps - 1)`` rotates
+    the phases of its eigenvectors.  Tracing out the field leaves an X-state
+    whose only coherence is ``eg/ge``; its partial transpose has the
     eigenvalues ``p_eg``, ``p_ge`` and those of the 2x2 block
     ``[[p_ee, |b c|], [|b c|, p_gg]]``, and the negativity is
     ``sum|eigenvalues| - 1``.
@@ -392,20 +409,29 @@ def exact_excited_pair_series(
 
     ctx = mpmath.mp.clone()
     ctx.dps = dps
+    shift, amplitudes = SINGLE_BLOCK_STARTS[start]
+    m = n_photon - shift
     d = ctx.mpf(delta)
-    gamma, beta = ctx.sqrt(n_photon + 1), ctx.sqrt(n_photon + 2)
-    hamiltonian = ctx.matrix(
-        [[d, gamma, gamma, 0], [gamma, 0, 0, beta], [gamma, 0, 0, beta], [0, beta, beta, -d]]
-    )
+    gamma, beta = ctx.sqrt(max(m + 1, 0)), ctx.sqrt(max(m + 2, 0))
+    full = [[d, gamma, gamma, 0], [gamma, 0, 0, beta], [gamma, 0, 0, beta], [0, beta, beta, -d]]
+    kept = [j for j, offset in enumerate((0, 1, 1, 2)) if m + offset >= 0]
+    hamiltonian = ctx.matrix([[full[j][k] for k in kept] for j in kept])
     eigenvalues, eigenvectors = ctx.eigsy(hamiltonian)
+    norm = ctx.sqrt(sum(x * x for x in amplitudes))
+    initial = [amplitudes[j] / norm for j in kept]
+    size = len(kept)
+    # Initial coefficients in the eigenbasis: c_l = sum_j V[j, l] psi0_j.
+    coefficients = [
+        ctx.fsum(eigenvectors[j, l] * initial[j] for j in range(size)) for l in range(size)
+    ]
     rows = []
     for k in range(steps):
         tau = ctx.mpf(k) * ctx.mpf(tau_max) / (steps - 1)
-        # Start in basis state 0: amplitude_j = sum_l V[j, l] V[0, l] exp(-i w_l tau).
-        weights = [eigenvectors[0, l] * ctx.expj(-eigenvalues[l] * tau) for l in range(4)]
-        a, b, c, e = (
-            ctx.fsum(eigenvectors[j, l] * weights[l] for l in range(4)) for j in range(4)
-        )
+        weights = [coefficients[l] * ctx.expj(-eigenvalues[l] * tau) for l in range(size)]
+        state = [ctx.mpf(0)] * 4
+        for j, index in enumerate(kept):
+            state[index] = ctx.fsum(eigenvectors[j, l] * weights[l] for l in range(size))
+        a, b, c, e = state
         p_ee, p_eg, p_ge, p_gg = (abs(x) ** 2 for x in (a, b, c, e))
         coherence = abs(b) * abs(c)
         radius = ctx.sqrt(((p_ee - p_gg) / 2) ** 2 + coherence**2)

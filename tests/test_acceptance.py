@@ -128,18 +128,18 @@ def test_criterion_03_negativity_ground_truths(rng):
     mixture 1/4 (+-1e-9 against the brute-force oracle); invariance under
     100 random local unitaries within 1e-9."""
     for _ in range(10):
-        value = negativity(pure_rho(random_product_atomic_state(rng))).value
+        value = negativity(pure_rho(random_product_atomic_state(rng)))
         assert abs(value) <= 1e-12, f"product state negativity {value:.3e}"
     for name in ("ee", "eg", "ge", "gg"):
-        value = negativity(pure_rho(named_atomic_state(name))).value
+        value = negativity(pure_rho(named_atomic_state(name)))
         assert abs(value) <= 1e-12, f"{name} negativity {value:.3e}"
 
     singlet_rho = pure_rho(named_atomic_state("singlet"))
-    singlet_value = negativity(singlet_rho).value
+    singlet_value = negativity(singlet_rho)
     assert abs(singlet_value - 1.0) <= 1e-10, f"singlet negativity {singlet_value!r}"
 
     werner = werner_state(0.5)
-    werner_value = negativity(werner).value
+    werner_value = negativity(werner)
     assert abs(werner_value - 0.25) <= 1e-9, f"Werner negativity {werner_value!r}"
     oracle_value = brute_negativity(werner)
     assert abs(werner_value - oracle_value) <= 1e-9, (
@@ -147,11 +147,11 @@ def test_criterion_03_negativity_ground_truths(rng):
     )
 
     references = (singlet_rho, werner)
-    reference_values = tuple(negativity(rho).value for rho in references)
+    reference_values = tuple(negativity(rho) for rho in references)
     for index in range(100):
         u = random_local_unitary(rng)
         rho = references[index % 2]
-        rotated_value = negativity(u @ rho @ u.conj().T).value
+        rotated_value = negativity(u @ rho @ u.conj().T)
         gap = abs(rotated_value - reference_values[index % 2])
         assert gap <= 1e-9, f"local-unitary drift {gap:.3e} at draw {index}"
 

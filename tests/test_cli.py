@@ -22,7 +22,7 @@ from twoatomcavity.entanglement import CLASS_LABELS
 from twoatomcavity.errors import DegenerateRoots
 from twoatomcavity.model import SystemParams, named_atomic_state
 
-from oracles import exact_excited_pair_series
+from oracles import exact_single_block_series
 
 
 def run_cli(args: list[str]) -> int:
@@ -373,7 +373,7 @@ class TestSeriesMode:
         import mpmath
 
         lines = (data_dir / "golden_series_ee_d0.5_n0.csv").read_text().splitlines()
-        exact = exact_excited_pair_series(0.5, 0, 10.0, 1001)
+        exact = exact_single_block_series("ee", 0.5, 0, 10.0, 1001)
         assert len(lines) == 1 + len(exact)
         for line, values in zip(lines[1:], exact):
             fields = line.split(",")[:6]
@@ -656,6 +656,17 @@ class TestConfigLayers:
         config = tmp_path / "run.json"
         config.write_text("[1, 2]")
         assert run_cli(["--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("value", [3, 0, True, False, 1.5, ["a"], {"x": 1}])
+    def test_non_string_output_path_exits_1(self, tmp_path, monkeypatch, capsys, value):
+        # Nothing is written, neither to str(value) nor to the default path.
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({"output_path": value, "steps": 5}))
+        assert run_cli(["--config", "run.json"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output_path must be a string or null, got {value!r}\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json"]
 
 
 class TestPresets:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +17,18 @@ from twoatomcavity.entanglement import (
     RESIDUAL_THRESHOLD,
     SEPARABLE_THRESHOLD,
     ClassMatch,
-    NegativityResult,
     classify,
     negativity,
 )
+from twoatomcavity.dynamics import time_series
 from twoatomcavity.errors import NotNormalized
-from twoatomcavity.model import named_atomic_state
+from twoatomcavity.linalg import eig_hermitian, partial_transpose
+from twoatomcavity.model import (
+    ATOMIC_STATE_NAMES,
+    SystemParams,
+    TwoAtomAmplitudes,
+    named_atomic_state,
+)
 
 from oracles import (
     CLASSIFIER_TEMPLATES,
@@ -52,27 +59,28 @@ class TestNegativity:
     def test_product_states_are_ppt(self, rng):
         for _ in range(8):
             rho = pure_rho(random_product_atomic_state(rng))
-            assert negativity(rho).value <= 1e-12
+            assert negativity(rho) <= 1e-12
 
     def test_singlet_is_maximal(self):
-        result = negativity(pure_rho(named_atomic_state("singlet")))
-        assert result.value == pytest.approx(1.0, abs=1e-12)
-        assert min(result.pt_eigenvalues) == pytest.approx(-0.5, abs=1e-12)
+        rho = pure_rho(named_atomic_state("singlet"))
+        assert negativity(rho) == pytest.approx(1.0, abs=1e-12)
+        pt_eigenvalues = eig_hermitian(partial_transpose(rho)).eigenvalues
+        assert min(pt_eigenvalues) == pytest.approx(-0.5, abs=1e-12)
 
     def test_symmetric_bell_state(self):
         rho = pure_rho(normalized([0.0, 1.0, 1.0, 0.0]))
-        assert negativity(rho).value == pytest.approx(1.0, abs=1e-12)
+        assert negativity(rho) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
     def test_werner_family_closed_form(self, p):
-        result = negativity(werner_state(p))
-        expected_eigs = werner_pt_eigenvalues(p)
-        assert np.max(np.abs(np.sort(result.pt_eigenvalues) - expected_eigs)) < 1e-12
+        rho = werner_state(p)
+        pt_eigenvalues = eig_hermitian(partial_transpose(rho)).eigenvalues
+        assert np.max(np.abs(pt_eigenvalues - werner_pt_eigenvalues(p))) < 1e-12
         expected_value = max(0.0, (3.0 * p - 1.0) / 2.0)
-        assert result.value == pytest.approx(expected_value, abs=1e-12)
+        assert negativity(rho) == pytest.approx(expected_value, abs=1e-12)
 
     def test_werner_half_is_quarter(self):
-        assert negativity(werner_state(0.5)).value == pytest.approx(0.25, abs=1e-12)
+        assert negativity(werner_state(0.5)) == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_brute_oracle_on_mixtures(self, rng):
         for _ in range(5):
@@ -80,20 +88,27 @@ class TestNegativity:
             weights = rng.random(3)
             weights /= weights.sum()
             rho = sum(w * pure_rho(s) for w, s in zip(weights, states))
-            assert negativity(rho).value == pytest.approx(
+            assert negativity(rho) == pytest.approx(
                 brute_negativity(rho), abs=1e-9
             )
 
     def test_local_unitary_invariance(self, rng):
         base = pure_rho(named_atomic_state("singlet"))
-        reference = negativity(base).value
+        reference = negativity(base)
         for _ in range(10):
             u = random_local_unitary(rng)
             rotated = u @ base @ u.conj().T
-            assert negativity(rotated).value == pytest.approx(reference, abs=1e-10)
+            assert negativity(rotated) == pytest.approx(reference, abs=1e-10)
 
-    def test_returns_named_result(self):
-        assert isinstance(negativity(np.eye(4) / 4.0), NegativityResult)
+    def test_certified_states_are_exactly_zero(self):
+        # X-form: the maximally mixed state and |eg><eg|, whose partial
+        # transposes are diagonal; not X-form: a local rotation of a full-rank
+        # product mixture, certified by its Cholesky factor.
+        u = random_local_unitary(np.random.default_rng(3))
+        product = pure_rho(named_atomic_state("eg"))
+        mixture = u @ (0.5 * product + 0.125 * np.eye(4)) @ u.conj().T
+        for rho in (np.eye(4) / 4.0, product, mixture):
+            assert negativity(rho) == 0.0
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -104,7 +119,7 @@ class TestNegativity:
             negativity(np.eye(4) / 2.0)
 
     def test_single_matrix_value_is_a_float64(self):
-        assert type(negativity(werner_state(0.5)).value) is np.float64
+        assert type(negativity(werner_state(0.5))) is np.float64
 
     @pytest.mark.parametrize("shape", [(7,), (2, 3)])
     def test_stack_equals_per_matrix_calls(self, rng, shape):
@@ -115,12 +130,55 @@ class TestNegativity:
             states.append(weight * pure_rho(vectors[0]) + (1.0 - weight) * pure_rho(vectors[1]))
         states = np.array(states).reshape(*shape, 4, 4)
         stacked = negativity(states)
-        assert stacked.value.shape == shape
-        assert stacked.pt_eigenvalues.shape == (*shape, 4)
+        assert stacked.shape == shape
+        stacked_spectra = eig_hermitian(partial_transpose(states)).eigenvalues
+        assert stacked_spectra.shape == (*shape, 4)
         for index in np.ndindex(shape):
-            single = negativity(states[index])
-            assert stacked.value[index] == single.value
-            assert np.array_equal(stacked.pt_eigenvalues[index], single.pt_eigenvalues)
+            assert stacked[index] == negativity(states[index])
+            single_spectrum = eig_hermitian(partial_transpose(states[index])).eigenvalues
+            assert np.array_equal(stacked_spectra[index], single_spectrum)
+
+    @pytest.mark.parametrize(
+        "certified_count", [0, 1, entanglement._SPLIT_MIN - 1, entanglement._SPLIT_MIN, 50])
+    def test_certified_samples_split_off_or_not_equal_per_matrix_calls(self, rng,
+                                                                       certified_count):
+        # Separable states (mixtures with the identity) and entangled ones,
+        # shuffled: every degree is its own call's, and the separable ones are 0.
+        separable = [0.2 * pure_rho(random_state(rng, 4)) + 0.2 * np.eye(4)
+                     for _ in range(certified_count)]
+        entangled = [u @ werner_state(0.9) @ u.conj().T
+                     for u in (random_local_unitary(rng) for _ in range(20))]
+        states = np.array(separable + entangled)[rng.permutation(certified_count + 20)]
+        stacked = negativity(states)
+        assert np.array_equal(stacked, [negativity(rho) for rho in states])
+        assert np.count_nonzero(stacked == 0.0) == certified_count
+
+    @pytest.mark.parametrize("certified_count", [1, entanglement._SPLIT_MIN + 8])
+    @pytest.mark.parametrize("faults", [
+        {"certified": ("upper", 1e-3)},
+        {"certified": ("upper", np.nan)},
+        {"entangled": ("upper", 1e-3)},
+        {"entangled": ("lower", np.nan)},
+        {"certified": ("upper", np.nan), "entangled": ("upper", 1e-3)},
+        {"certified": ("upper", 1e-3), "entangled": ("upper", 2e-3)},
+    ])
+    def test_bad_stacks_raise_as_one_eigendecomposition_would(self, certified_count, faults):
+        # The certificate reads only the lower triangle, so a certified matrix
+        # can hide a fault above the diagonal; whatever the split, the error
+        # is the one eig_hermitian raises for the whole partial-transpose stack.
+        pts = {"certified": partial_transpose(np.eye(4) / 4.0),
+               "entangled": partial_transpose(pure_rho(named_atomic_state("singlet")))}
+        for kind, (triangle, value) in faults.items():
+            pts[kind] = pts[kind].copy()
+            pts[kind][(0, 1) if triangle == "upper" else (1, 0)] += value
+        stack = partial_transpose(np.array(
+            [pts["certified"]] * certified_count + [pts["entangled"]]
+            + [partial_transpose(np.eye(4) / 4.0)]
+        ))
+        with pytest.raises(Exception) as expected:
+            eig_hermitian(partial_transpose(stack))
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            negativity(stack)
 
     def test_names_the_first_unnormalized_matrix_of_a_stack(self):
         states = np.array([np.eye(4) / 4.0] * 6).reshape(2, 3, 4, 4)
@@ -163,7 +221,7 @@ class TestConcurrenceOracle:
             weights = rng.dirichlet(np.ones(3))
             rho = sum(w * pure_rho(random_state(rng, 4)) for w in weights)
             lower, upper = negativity_bounds_from_concurrence(wootters_concurrence(rho))
-            assert lower - 1e-12 <= negativity(rho).value <= upper + 1e-12
+            assert lower - 1e-12 <= negativity(rho) <= upper + 1e-12
 
 
 class TestClassifyGates:
@@ -270,7 +328,7 @@ def stack_labels(states) -> list[str]:
     """Labels of ``_classify_stack`` for a list of matrices, as names."""
     stack = np.array(states, dtype=np.complex128)
     return [CLASS_LABELS[index] for index in entanglement._classify_stack(
-        stack, negativity(stack).value).tolist()]
+        stack, negativity(stack)).tolist()]
 
 
 class TestCertificates:
@@ -394,3 +452,98 @@ def test_classifier_matches_the_per_matrix_oracle(cases):
         match = classify(rho)
         assert (match.label, match.fidelity, match.template_params) == record_classify(rho)
     assert stack_labels(cases) == [record_classify(rho)[0] for rho in cases]
+
+
+def _assert_certificate_sound(rho: np.ndarray) -> None:
+    """The PPT certificate of ``negativity`` against the partial-transpose spectrum.
+
+    A certified state has every eigenvalue at or above -1e-15 and an ``eigh``
+    degree below 1e-14, the CSV's snap to 0; every state whose smallest
+    eigenvalue exceeds 1e-9 is certified, and none with an eigenvalue below
+    -1e-12.  ``negativity`` gives the certified states exactly 0 and every
+    other state its ``eigh`` degree, bit for bit.
+    """
+    pt = partial_transpose(rho).reshape(-1, 4, 4)
+    certified = entanglement._ppt_certified(pt)
+    eigenvalues = eig_hermitian(pt).eigenvalues
+    degree = np.sum(np.abs(eigenvalues), axis=-1) - 1.0
+    smallest = eigenvalues[:, 0]
+    assert np.all(smallest[certified] >= -1e-15), smallest[certified].min()
+    assert np.all(degree[certified] < 1e-14), degree[certified].max()
+    assert np.all(certified[smallest > 1e-9]), smallest[~certified].max()
+    assert not np.any(certified[smallest < -1e-12])
+    expected = np.where(certified, 0.0, degree)
+    assert np.array_equal(negativity(rho).reshape(-1), expected)
+
+
+def _product_state(draw) -> TwoAtomAmplitudes:
+    angles = st.floats(0.0, np.pi)
+    phases = st.floats(0.0, 2.0 * np.pi)
+    amplitudes = []
+    for _ in range(2):
+        theta, chi, phi = draw(angles), draw(phases), draw(phases)
+        amplitudes += [np.cos(theta / 2) * np.exp(1j * chi), np.sin(theta / 2) * np.exp(1j * phi)]
+    return TwoAtomAmplitudes(*amplitudes)
+
+
+@st.composite
+def _preparation(draw):
+    """A named preparation or a random product of the two atoms."""
+    if draw(st.booleans()):
+        return named_atomic_state(draw(st.sampled_from(ATOMIC_STATE_NAMES)))
+    return _product_state(draw)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(-3.0, 3.0),
+    n_photon=st.one_of(st.integers(0, 3), st.integers(0, 10**6)),
+    initial=_preparation(),
+    tau_max=st.floats(0.1, 50.0),
+    steps=st.integers(2, 200),
+)
+@example(delta=0.5, n_photon=0, initial=named_atomic_state("ee"), tau_max=10.0, steps=1001)
+@example(delta=0.1, n_photon=0, initial=named_atomic_state("gg"), tau_max=10.0, steps=101)
+@example(delta=0.5, n_photon=3, initial=named_atomic_state("gg"), tau_max=10.0, steps=1001)
+def test_certificate_is_sound_on_series_states(delta, n_photon, initial, tau_max, steps):
+    captured = []
+    classify_stack = entanglement._classify_stack
+
+    def capture(rho, degree):
+        captured.append(rho.copy())
+        return classify_stack(rho, degree)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entanglement, "_classify_stack", capture)
+        time_series(SystemParams(delta=delta, n_photon=n_photon), initial, tau_max, steps)
+    _assert_certificate_sound(np.concatenate(captured))
+
+
+@st.composite
+def _density_matrix(draw):
+    """A mixture, optionally made X-form and mixed with the identity: PSD or
+    NPT partial transposes, singular or not, near the margin or far from it."""
+    rho = draw(_mixture())
+    if draw(st.booleans()):
+        # The X part of a state is a state: the average of its conjugations
+        # by diag(u, v, v, u) over the phases u and v.
+        rho = rho * np.array(
+            [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.complex128
+        )
+    weight = draw(st.sampled_from([0.0, 1e-9, 1e-6, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    return (1.0 - weight) * rho + weight * np.eye(4) / 4.0
+
+
+#: An X state whose partial transpose has the block [[1e-7, 5e-8], [5e-8, 1e-7]]:
+#: eigenvalues 5e-8 and 1.5e-7, but a determinant of only 7.5e-15, which a
+#: margin on the determinant alone would not certify.
+_SMALL_BLOCK = np.diag([0.5 - 1e-7, 1e-7, 1e-7, 0.5 - 1e-7]).astype(np.complex128)
+_SMALL_BLOCK[0, 3] = _SMALL_BLOCK[3, 0] = 5e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(states=st.lists(_density_matrix(), min_size=1, max_size=8))
+@example(states=[werner_state(1.0 / 3.0), werner_state(0.3), np.eye(4) / 4.0])
+@example(states=[_SMALL_BLOCK])
+def test_certificate_is_sound_on_density_matrices(states):
+    _assert_certificate_sound(np.array(states))

@@ -78,8 +78,9 @@ SWEEP_CHUNKS = math.ceil(SWEEP_POINTS * SWEEP_STEPS / _CHUNK_SAMPLES)
 
 #: Eigendecompositions: one stacked call for the excitation blocks of each
 #: size (this series and sweep have one size), then per chunk one for the
-#: negativity and, in the series, one for the classifier's fit of the
-#: samples its bounds cannot rule out (every chunk of this series has some).
+#: partial transposes the negativity cannot certify PSD and, in the series,
+#: one for the classifier's fit of the samples its bounds cannot rule out
+#: (every chunk of this series has some of each).
 SERIES_EIGH = 1 + 2 * SERIES_CHUNKS
 SWEEP_EIGH = 1 + SWEEP_CHUNKS
 
@@ -106,6 +107,26 @@ def test_cli_runs_reach_every_wrapped_layer(tmp_path, argv, expected):
         calls = count_layer_calls(patch)
         assert cli.main([*argv, "--output", str(traced)]) == 0
     assert dict(calls) == expected
+    assert traced.read_bytes() == plain.read_bytes()
+
+
+#: ``--preset fig2a`` prepares |gg, 0>, which nothing couples to: every
+#: sample's partial transpose is certified PSD, so the series decomposes
+#: its one-state block and nothing else, and classifies every sample
+#: separable at the negativity gate.
+PRESET_CHUNKS = math.ceil(cli._DEFAULTS["steps"] / _CHUNK_SAMPLES)
+
+
+def test_a_certified_series_decomposes_only_its_block(tmp_path):
+    plain = tmp_path / "plain.csv"
+    assert cli.main(["--preset", "fig2a", "--output", str(plain)]) == 0
+    traced = tmp_path / "traced.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_layer_calls(patch)
+        assert cli.main(["--preset", "fig2a", "--output", str(traced)]) == 0
+    assert dict(calls) == {"time_series": 1, "partial_trace_field": PRESET_CHUNKS,
+                           "partial_transpose": PRESET_CHUNKS, "eig_hermitian": 1,
+                           "negativity": PRESET_CHUNKS}
     assert traced.read_bytes() == plain.read_bytes()
 
 
