@@ -474,13 +474,13 @@ def run_sweep(config: RunConfig) -> int:
     the threshold (the pair is never entangled), or it rises above it and is
     still above it at the window end.
 
-    All points are evaluated in one stacked call that computes no class
-    labels; the statistics are taken per point from its negativity column.
+    All points are evaluated in one stacked call, which returns only their
+    negativity columns; the statistics are taken per point from its column.
     """
     spec = config.sweep
     assert spec is not None  # guaranteed by resolve_config
     points = [replace(config.params, **{spec.param: value}) for value in spec.values]
-    columns = time_series(points, _initial_for(config), config.tau_max, config.steps, labels=False)
+    columns = time_series(points, _initial_for(config), config.tau_max, config.steps)
     rows = [f"{spec.param},avg_negativity,first_negativity_zero,negativity_zero_count"]
     for value, negativity in zip(spec.values, columns.negativity):
         first_zero = first_negativity_zero(columns.tau, negativity)

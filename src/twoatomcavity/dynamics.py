@@ -8,13 +8,13 @@ lowest photon number is n, |eg, n> and |ge, n> in the block of n - 1, and
 block on its own, places the amplitudes on the photon levels n-2..n+2 and
 evaluates the rows (point, sample) of one point or of a whole sweep in
 chunks of ``_CHUNK_SAMPLES`` rows, which bounds the memory of the stacked
-arrays; no Fock space is truncated.  It returns the samples as columns
-(time, populations, negativity and, unless told not to classify, class
-labels), into which it writes each chunk.  The negativity
+arrays; no Fock space is truncated.  It returns the samples as columns, into
+which it writes each chunk: time, populations, negativity and class labels
+for one point, time and negativity only for a sweep.  The negativity
 statistics (:func:`first_negativity_zero`, :func:`negativity_zero_count`,
-:func:`average_negativity`) take the ``tau`` and ``negativity`` columns, or
-any sequences of the same values; a zero is a downward crossing of
-``NEGATIVITY_ZERO_THRESHOLD``.
+:func:`average_negativity`) take one point's ``tau`` and ``negativity``
+columns, or any 1-D sequences of the same values; a zero is a downward
+crossing of ``NEGATIVITY_ZERO_THRESHOLD``.
 """
 from __future__ import annotations
 
@@ -133,16 +133,16 @@ def _populated_blocks(points: list[SystemParams], atomic: np.ndarray) -> list[_B
 class SeriesColumns(NamedTuple):
     """A sampled series as columns: one row per grid point.
 
-    ``labels`` holds indices into ``entanglement.CLASS_LABELS``, or is
-    ``None`` when the series was computed without classification.  Columns
-    of several points (a sequence of ``SystemParams``) lead with a point
-    axis ``P``; ``tau`` is the grid they share.
+    ``labels`` holds indices into ``entanglement.CLASS_LABELS``.  A sweep (a
+    sequence of ``SystemParams``) has only a negativity column, which leads
+    with a point axis ``P``, and ``populations`` and ``labels`` are
+    ``None``; ``tau`` is the grid its points share.
     """
 
     tau: np.ndarray  # (T,)
-    populations: np.ndarray  # ([P,] T, 4): p_ee, p_eg, p_ge, p_gg
+    populations: np.ndarray | None  # (T, 4): p_ee, p_eg, p_ge, p_gg
     negativity: np.ndarray  # ([P,] T)
-    labels: np.ndarray | None  # ([P,] T)
+    labels: np.ndarray | None  # (T,)
 
 
 def time_series(
@@ -150,8 +150,6 @@ def time_series(
     initial: TwoAtomAmplitudes | np.ndarray,
     tau_max: float,
     steps: int,
-    *,
-    labels: bool = True,
 ) -> SeriesColumns:
     """Sample the reduced dynamics on a uniform grid over ``[0, tau_max]``.
 
@@ -163,13 +161,15 @@ def time_series(
     stacked phase rotation per block shape, one stacked partial trace over
     the five photon levels n-2..n+2, one negativity call (a stacked
     partial-transpose spectrum of the samples it cannot certify separable)
-    and, when ``labels`` is true, one classification pass that reuses that
-    negativity.  Each row depends only on its own point and
+    and, for one point, one populations pass and one classification pass
+    that reuses that negativity.  Each row depends only on its own point and
     sample, so a point's columns do not depend on the chunking or on the
     other points.  At ``tau = 0`` the initial state is used bit-exactly.
 
-    Returns columns of shape ``(T, ...)`` for one ``SystemParams`` and
-    ``(P, T, ...)`` for a sequence of ``P`` of them.
+    Returns, for one ``SystemParams``, the columns ``tau``, ``populations``
+    ``(T, 4)``, ``negativity`` ``(T,)`` and ``labels`` ``(T,)``; for a
+    sequence of ``P`` of them, ``tau`` and the negativity ``(P, T)`` only,
+    with ``populations`` and ``labels`` set to ``None``.
 
     Raises:
         ValueError: if ``steps < 2`` or ``tau_max`` is not positive and finite.
@@ -191,9 +191,9 @@ def time_series(
     prepared[:, 2] = atomic
     taus = np.linspace(0.0, float(tau_max), steps)
     rows = len(points) * steps
-    populations_column = np.empty((rows, 4))
     negativity_column = np.empty(rows)
-    label_column = np.empty(rows, dtype=np.intp) if labels else None
+    populations_column = np.empty((rows, 4)) if single else None
+    label_column = np.empty(rows, dtype=np.intp) if single else None
     for start in range(0, rows, _CHUNK_SAMPLES):
         chunk = slice(start, min(start + _CHUNK_SAMPLES, rows))
         point, sample = np.divmod(np.arange(chunk.start, chunk.stop), steps)
@@ -216,17 +216,12 @@ def time_series(
         amplitudes[tau == 0.0] = prepared
         rho = linalg.partial_trace_field(amplitudes)
         degree = entanglement.negativity(rho)
-        populations_column[chunk] = populations(rho)
         negativity_column[chunk] = degree
-        if label_column is not None:
+        if single:
+            populations_column[chunk] = populations(rho)
             label_column[chunk] = entanglement._classify_stack(rho, degree)
     shape = (steps,) if single else (len(points), steps)
-    return SeriesColumns(
-        taus,
-        populations_column.reshape(*shape, 4),
-        negativity_column.reshape(shape),
-        None if label_column is None else label_column.reshape(shape),
-    )
+    return SeriesColumns(taus, populations_column, negativity_column.reshape(shape), label_column)
 
 
 def _downward_crossings(gaps: np.ndarray) -> np.ndarray:
@@ -234,10 +229,17 @@ def _downward_crossings(gaps: np.ndarray) -> np.ndarray:
     return (gaps[:-1] > 0.0) & (gaps[1:] <= 0.0)
 
 
+def _column(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a float array, checked to be one point's 1-D column."""
+    column = np.asarray(values, dtype=np.float64)
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one point's 1-D column, got shape {column.shape}")
+    return column
+
+
 def _sample_columns(tau: np.ndarray, negativity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``tau`` and ``negativity`` as float arrays, checked to be of one shape."""
-    tau = np.asarray(tau, dtype=np.float64)
-    negativity = np.asarray(negativity, dtype=np.float64)
+    """``tau`` and ``negativity`` as float arrays, checked to be 1-D and of one shape."""
+    tau, negativity = _column("tau", tau), _column("negativity", negativity)
     if tau.shape != negativity.shape:
         raise ValueError(f"tau and negativity differ in shape: {tau.shape} and {negativity.shape}")
     return tau, negativity
@@ -249,7 +251,8 @@ def first_negativity_zero(tau: np.ndarray, negativity: np.ndarray) -> float | No
     A "zero" is a downward crossing of ``NEGATIVITY_ZERO_THRESHOLD``: the
     sampled negativity sits above it at one grid point and at or below it at
     the next.  The crossing time is linearly interpolated between the two
-    grid points.  Columns of different shapes raise ``ValueError``.
+    grid points.  Columns that are not 1-D or differ in shape raise
+    ``ValueError``.
     """
     tau, negativity = _sample_columns(tau, negativity)
     gaps = negativity - NEGATIVITY_ZERO_THRESHOLD
@@ -264,8 +267,11 @@ def first_negativity_zero(tau: np.ndarray, negativity: np.ndarray) -> float | No
 
 
 def negativity_zero_count(negativity: np.ndarray) -> int:
-    """Number of downward ``NEGATIVITY_ZERO_THRESHOLD`` crossings of the negativity."""
-    gaps = np.asarray(negativity, dtype=np.float64) - NEGATIVITY_ZERO_THRESHOLD
+    """Number of downward ``NEGATIVITY_ZERO_THRESHOLD`` crossings of the negativity.
+
+    A column that is not 1-D raises ``ValueError``.
+    """
+    gaps = _column("negativity", negativity) - NEGATIVITY_ZERO_THRESHOLD
     return int(np.count_nonzero(_downward_crossings(gaps)))
 
 
@@ -277,18 +283,20 @@ def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
     right, not by ``np.sum``, whose pairwise summation rounds differently,
     nor by the built-in ``sum``, which compensates from Python 3.12 on, so
     every Python version gives the same bits.
-    Columns of different shapes, or of fewer than two samples, raise
-    ``ValueError``.
+    Columns that are not 1-D, differ in shape, hold fewer than two samples
+    or span a window of zero length raise ``ValueError``.
     """
     tau, negativity = _sample_columns(tau, negativity)
     if len(tau) < 2:
         raise ValueError("need at least two samples to average")
+    window = tau[-1].item() - tau[0].item()
+    if window == 0.0:
+        raise ValueError(f"the window [{tau[0].item()!r}, {tau[-1].item()!r}] has zero length")
     values = negativity.tolist()
     interior = 0.0
     for value in values[1:-1]:
         interior += value
     dt = tau[1].item() - tau[0].item()
     integral = dt * (0.5 * values[0] + interior + 0.5 * values[-1])
-    window = tau[-1].item() - tau[0].item()
     return integral / window
 

@@ -133,31 +133,16 @@ def _ppt_certified(pt: np.ndarray) -> np.ndarray:
     smaller eigenvalue, at least ``det / (a + d)``, above the margin.  Any
     other matrix goes through :func:`_cholesky_certified`.  A NaN entry
     fails every comparison, so its matrix is never certified.
-
-    Both rules need the principal block {0, 3} to be PSD, so the matrices
-    whose block fails ``a, d >= 0`` and ``a*d - |z|^2 >= 0`` are rejected
-    before anything else is read: the X rule tests this very determinant,
-    and a matrix that the Cholesky rule certifies has a block whose smaller
-    eigenvalue exceeds the margin less about 1e-15, which keeps its computed
-    determinant positive for unit-trace input.
     """
     flat = pt.reshape(len(pt), 16)
-    certified = np.zeros(len(pt), dtype=bool)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        a, d, z = flat[:, 0].real, flat[:, 15].real, flat[:, 12]
-        rows = np.flatnonzero(
-            (np.minimum(a, d) >= 0.0) & (a * d - (z.real**2 + z.imag**2) >= 0.0)
-        )
-        if rows.size == 0:
-            return certified
-        flat = flat[rows]
         x_form = flat[:, _OFF_X[0]] == 0.0
         for position in _OFF_X[1:]:
             x_form &= flat[:, position] == 0.0
-        certified[rows] = (
+        certified = (
             x_form & _x_block_certified(flat, 0, 15, 12) & _x_block_certified(flat, 5, 10, 9)
         )
-        general = rows[~x_form]
+        general = np.flatnonzero(~x_form)
         if general.size:
             certified[general] = _cholesky_certified(pt[general])
     return certified

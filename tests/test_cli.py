@@ -462,7 +462,8 @@ class TestSweepMode:
 
     def test_sweep_allocates_chunks_not_its_amplitudes(self, tmp_path):
         # 4 x 26,215 rows: their amplitudes on 4 x 5 levels would take 33.6 MB;
-        # the chunks keep the sweep's traced peak below 8 MB.
+        # the chunks and a negativity-only column keep the sweep's traced
+        # peak below 4 MB.
         points, steps = 4, 26_215
         assert points * steps * 4 * 5 * 16 >= 32 * 2**20
         out = tmp_path / "sweep.csv"
@@ -475,7 +476,7 @@ class TestSweepMode:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 8 * 10**6
+        assert peak < 4 * 10**6
 
     def test_sweep_rejects_negative_photon_values(self):
         assert run_cli(["--sweep", "n_photon:-2:1:4", "--steps", "11"]) == 1

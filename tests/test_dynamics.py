@@ -391,22 +391,16 @@ def test_series_invariants_hold_at_any_photon_number(delta, n_photon, amplitudes
     """Unit population sum, negativity in [0, 1], atom-swap symmetry, dark singlet."""
     params = SystemParams(delta=delta, n_photon=n_photon)
     a1, b1, a2, b2 = amplitudes
-    columns = time_series(
-        params, TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2), tau_max, steps, labels=False
-    )
+    columns = time_series(params, TwoAtomAmplitudes(a1=a1, b1=b1, a2=a2, b2=b2), tau_max, steps)
     assert np.max(np.abs(columns.populations.sum(axis=1) - 1.0)) < 1e-10
     # Separable samples carry unsnapped round-off, which the CLI writes as 0.
     degree = columns.negativity
     assert np.all((degree > -FORMAT_SNAP_TOL) & (degree < 1.0 + FORMAT_SNAP_TOL))
     # Swapping the atoms swaps p_eg and p_ge and leaves the rest alone.
-    swapped = time_series(
-        params, TwoAtomAmplitudes(a1=a2, b1=b2, a2=a1, b2=b1), tau_max, steps, labels=False
-    )
+    swapped = time_series(params, TwoAtomAmplitudes(a1=a2, b1=b2, a2=a1, b2=b1), tau_max, steps)
     assert np.max(np.abs(columns.populations - swapped.populations[:, [0, 2, 1, 3]])) < 1e-9
     assert np.max(np.abs(columns.negativity - swapped.negativity)) < 1e-9
-    singlet = time_series(
-        params, named_atomic_state("singlet"), tau_max, steps, labels=False
-    )
+    singlet = time_series(params, named_atomic_state("singlet"), tau_max, steps)
     assert np.max(np.abs(singlet.negativity - 1.0)) < 1e-10
 
 
@@ -443,19 +437,20 @@ def test_classified_states_are_density_matrices(delta, n_photon, amplitudes, tau
 
 
 class TestSeriesColumns:
-    def test_unlabelled_columns_do_not_classify(self, monkeypatch):
+    def test_a_sequence_call_never_classifies_and_has_no_populations(self, monkeypatch):
         params = SystemParams(delta=0.37, n_photon=3)
-        labelled = time_series(params, named_atomic_state("eg"), 3.7, 300)
+        series = time_series(params, named_atomic_state("eg"), 3.7, 300)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("classified a sample")
+            raise AssertionError("computed a column a sweep does not read")
 
         monkeypatch.setattr(entanglement, "_classify_stack", refuse)
-        unlabelled = time_series(params, named_atomic_state("eg"), 3.7, 300, labels=False)
-        assert unlabelled.labels is None
-        for name in ("tau", "populations", "negativity"):
-            assert np.array_equal(getattr(unlabelled, name), getattr(labelled, name)), name
-        with pytest.raises(AssertionError, match="classified a sample"):
+        monkeypatch.setattr(dynamics, "populations", refuse)
+        sweep = time_series([params], named_atomic_state("eg"), 3.7, 300)
+        assert sweep.populations is None and sweep.labels is None
+        assert np.array_equal(sweep.tau, series.tau)
+        assert np.array_equal(sweep.negativity, series.negativity[None])
+        with pytest.raises(AssertionError, match="does not read"):
             time_series(params, named_atomic_state("eg"), 3.7, 300)
 
 
@@ -488,14 +483,12 @@ _PREPARATIONS = st.one_of(
     tau_max=st.floats(0.1, 20.0),
     steps=st.integers(2, 40),
     chunk=st.sampled_from([1, 2, 7, 13, 64]),
-    labels=st.booleans(),
 )
 @example(
     points=[SystemParams(delta=0.4, n_photon=n_photon) for n_photon in range(4)],
     initial=TwoAtomAmplitudes(0.6, 0.8, 0.8, 0.6j), tau_max=10.0, steps=11, chunk=7,
-    labels=True,
 )
-def test_stacked_points_equal_one_point_runs(points, initial, tau_max, steps, chunk, labels):
+def test_stacked_points_equal_one_point_runs(points, initial, tau_max, steps, chunk):
     """Each point of a stacked call equals its own one-point call, bit for bit.
 
     The stacked call runs in chunks of ``chunk`` rows, which straddle points;
@@ -503,18 +496,12 @@ def test_stacked_points_equal_one_point_runs(points, initial, tau_max, steps, ch
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_CHUNK_SAMPLES", chunk)
-        stacked = time_series(points, initial, tau_max, steps, labels=labels)
+        stacked = time_series(points, initial, tau_max, steps)
     assert stacked.negativity.shape == (len(points), steps)
-    assert stacked.populations.shape == (len(points), steps, 4)
     for point, params in enumerate(points):
-        alone = time_series(params, initial, tau_max, steps, labels=labels)
+        alone = time_series(params, initial, tau_max, steps)
         assert stacked.tau.tobytes() == alone.tau.tobytes()
         assert stacked.negativity[point].tobytes() == alone.negativity.tobytes()
-        assert stacked.populations[point].tobytes() == alone.populations.tobytes()
-        if labels:
-            assert stacked.labels[point].tolist() == alone.labels.tolist()
-        else:
-            assert stacked.labels is None
 
 
 #: Slack on the concurrence bounds: the square roots in the concurrence can
@@ -664,6 +651,25 @@ class TestSeriesStatistics:
     def test_average_needs_two_records(self):
         with pytest.raises(ValueError):
             average_negativity(*columns_of([0.0], [0.1]))
+
+    def test_average_needs_a_window_of_nonzero_length(self):
+        with pytest.raises(ValueError, match="zero length"):
+            average_negativity([1.0, 1.0], [0.2, 0.4])
+
+    def test_a_sweeps_two_dimensional_columns_are_rejected(self):
+        # A sweep's negativity leads with a point axis; each statistic takes
+        # one point's column, and reading a (P, T) stack as one series would
+        # compare points instead of samples.
+        points = [SystemParams(delta=delta, n_photon=0) for delta in (0.1, 0.5)]
+        sweep = time_series(points, named_atomic_state("ee"), 10.0, 101)
+        assert [negativity_zero_count(column) for column in sweep.negativity] == [0, 2]
+        tau = np.broadcast_to(sweep.tau, sweep.negativity.shape)
+        with pytest.raises(ValueError, match=r"shape \(2, 101\)"):
+            negativity_zero_count(sweep.negativity)
+        with pytest.raises(ValueError, match=r"shape \(2, 101\)"):
+            first_negativity_zero(tau, sweep.negativity)
+        with pytest.raises(ValueError, match=r"shape \(2, 101\)"):
+            average_negativity(tau, sweep.negativity)
 
     def test_columns_of_different_lengths_are_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):

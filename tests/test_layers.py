@@ -23,10 +23,12 @@ from twoatomcavity.dynamics import _CHUNK_SAMPLES
 #: (module, function) of each wrapped layer.
 LAYERS = (
     ("dynamics", "time_series"),
+    ("dynamics", "populations"),
     ("linalg", "partial_trace_field"),
     ("linalg", "partial_transpose"),
     ("linalg", "eig_hermitian"),
     ("entanglement", "negativity"),
+    ("entanglement", "_classify_stack"),
     ("dynamics", "first_negativity_zero"),
     ("dynamics", "negativity_zero_count"),
     ("dynamics", "average_negativity"),
@@ -72,7 +74,7 @@ SWEEP = ["--sweep", f"delta:0.1:1.0:{SWEEP_POINTS}", "--initial", "eg",
 
 #: A series is one time_series call over its samples, a sweep one call over
 #: all of its (point, sample) rows; each makes one chunk call per
-#: ``_CHUNK_SAMPLES`` rows.
+#: ``_CHUNK_SAMPLES`` rows.  Only the series reads populations and labels.
 SERIES_CHUNKS = math.ceil(SERIES_STEPS / _CHUNK_SAMPLES)
 SWEEP_CHUNKS = math.ceil(SWEEP_POINTS * SWEEP_STEPS / _CHUNK_SAMPLES)
 
@@ -88,9 +90,10 @@ SWEEP_EIGH = 1 + SWEEP_CHUNKS
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (SERIES, {"time_series": 1, "partial_trace_field": SERIES_CHUNKS,
+        (SERIES, {"time_series": 1, "populations": SERIES_CHUNKS,
+                  "partial_trace_field": SERIES_CHUNKS,
                   "partial_transpose": SERIES_CHUNKS, "eig_hermitian": SERIES_EIGH,
-                  "negativity": SERIES_CHUNKS}),
+                  "negativity": SERIES_CHUNKS, "_classify_stack": SERIES_CHUNKS}),
         (SWEEP, {"time_series": 1, "partial_trace_field": SWEEP_CHUNKS,
                  "partial_transpose": SWEEP_CHUNKS, "eig_hermitian": SWEEP_EIGH,
                  "negativity": SWEEP_CHUNKS,
@@ -124,9 +127,10 @@ def test_a_certified_series_decomposes_only_its_block(tmp_path):
     with pytest.MonkeyPatch.context() as patch:
         calls = count_layer_calls(patch)
         assert cli.main(["--preset", "fig2a", "--output", str(traced)]) == 0
-    assert dict(calls) == {"time_series": 1, "partial_trace_field": PRESET_CHUNKS,
+    assert dict(calls) == {"time_series": 1, "populations": PRESET_CHUNKS,
+                           "partial_trace_field": PRESET_CHUNKS,
                            "partial_transpose": PRESET_CHUNKS, "eig_hermitian": 1,
-                           "negativity": PRESET_CHUNKS}
+                           "negativity": PRESET_CHUNKS, "_classify_stack": PRESET_CHUNKS}
     assert traced.read_bytes() == plain.read_bytes()
 
 
