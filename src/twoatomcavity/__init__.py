@@ -19,7 +19,6 @@ from .dynamics import (
 from .entanglement import ClassMatch, classify, negativity
 from .errors import (
     ConvergenceFailure,
-    DegenerateRoots,
     DomainError,
     NotHermitian,
     NotNormalized,
@@ -54,7 +53,6 @@ __all__ = [
     "AuditReport",
     "ClassMatch",
     "ConvergenceFailure",
-    "DegenerateRoots",
     "DomainError",
     "HermitianEigensystem",
     "NotHermitian",

@@ -467,7 +467,9 @@ def run_series(config: RunConfig) -> int:
 def run_sweep(config: RunConfig) -> int:
     """Write a CSV table of negativity summary statistics per parameter value.
 
-    Columns: the swept value, the time-averaged negativity over the window,
+    Columns: the swept value (a detuning as ``FLOAT_FORMAT`` writes it, with
+    no round-off snap, since it is an input; negative zero prints as 0), the
+    time-averaged negativity over the window,
     the first time the negativity returns to zero, and the count of such
     zeros.  The first-zero sentinel -1 means "no downward crossing of the
     zero threshold in the window": either the negativity never rises above
@@ -485,7 +487,7 @@ def run_sweep(config: RunConfig) -> int:
     for value, negativity in zip(spec.values, columns.negativity):
         first_zero = first_negativity_zero(columns.tau, negativity)
         row = [
-            str(value) if spec.param == "n_photon" else _format_float(value),
+            str(value) if spec.param == "n_photon" else FLOAT_FORMAT.format(value + 0.0),
             _format_float(average_negativity(columns.tau, negativity)),
             _format_float(-1.0 if first_zero is None else first_zero),
             str(negativity_zero_count(negativity)),

@@ -284,7 +284,9 @@ def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
     nor by the built-in ``sum``, which compensates from Python 3.12 on, so
     every Python version gives the same bits.
     Columns that are not 1-D, differ in shape, hold fewer than two samples
-    or span a window of zero length raise ``ValueError``.
+    or span a window of zero length raise ``ValueError``, and so does a
+    ``tau`` whose steps are not uniform: each must equal the first within
+    1e-9 of the window, as every ``linspace`` grid does.
     """
     tau, negativity = _sample_columns(tau, negativity)
     if len(tau) < 2:
@@ -292,6 +294,14 @@ def average_negativity(tau: np.ndarray, negativity: np.ndarray) -> float:
     window = tau[-1].item() - tau[0].item()
     if window == 0.0:
         raise ValueError(f"the window [{tau[0].item()!r}, {tau[-1].item()!r}] has zero length")
+    steps = np.diff(tau)
+    uneven = np.flatnonzero(~(np.abs(steps - steps[0]) <= 1e-9 * abs(window)))
+    if uneven.size:
+        k = int(uneven[0])
+        raise ValueError(
+            f"tau is not a uniform grid: step {k} is {steps[k].item()!r}, "
+            f"the first {steps[0].item()!r}"
+        )
     values = negativity.tolist()
     interior = 0.0
     for value in values[1:-1]:

@@ -22,14 +22,6 @@ class NotNormalized(TwoAtomCavityError):
     """A state vector or amplitude pair is not normalized within tolerance."""
 
 
-class DegenerateRoots(TwoAtomCavityError):
-    """Two characteristic roots coincide; the closed-form weights diverge.
-
-    Callers should fall back to the spectral propagator, which remains valid
-    for degenerate spectra.
-    """
-
-
 class DomainError(TwoAtomCavityError):
-    """An inverse-cosine argument overflows or lies outside [-1, 1] beyond round-off."""
+    """The cube of the closed form's root scale overflows the float range."""
 

@@ -23,16 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRoots, DomainError, NotNormalized
+from .errors import DomainError, NotNormalized
 
 #: Tolerance on ``| |a|^2 + |b|^2 - 1 |`` for each atom's amplitudes.
 AMPLITUDE_TOL = 1e-9
-
-#: Minimum root separation below which closed-form weights are refused.
-DEGENERACY_TOL = 1e-9
-
-#: Allowed round-off overshoot of the inverse-cosine argument past +-1.
-ARCCOS_OVERSHOOT_TOL = 1e-12
 
 #: Photon levels above ``n_photon`` kept by :func:`full_hamiltonian`.
 DEFAULT_CUTOFF_MARGIN = 6
@@ -137,43 +131,17 @@ class SpectralQuantities:
     Attributes:
         gamma: first-emission coupling ``sqrt(n + 1)``.
         beta: second-emission coupling ``sqrt(n + 2)``.
-        kappa: scale factor ``sqrt(3 * (delta^2 + 2 * (beta^2 + gamma^2)))``.
-        theta: the three angles whose cosines generate the roots; spaced by
-            ``2*pi/3``.
-        mu: the three nonzero subspace eigenvalues, ``(2/3) * kappa * cos(theta_i)``.
+        mu: the three nonzero subspace eigenvalues,
+            ``(2/3) * kappa * cos(theta_i)`` with the root scale
+            ``kappa = sqrt(3 * (delta^2 + 2 * (beta^2 + gamma^2)))`` and
+            angles ``theta_i`` spaced by ``2*pi/3``.
         alpha: partial-fraction weights ``1 / (mu_diff * mu_diff)`` products.
     """
 
     gamma: float
     beta: float
-    kappa: float
-    theta: np.ndarray
     mu: np.ndarray
     alpha: np.ndarray
-
-
-def _clamped_arccos_argument(x: float) -> float:
-    """Clamp ``x`` into [-1, 1] when the overshoot is pure round-off.
-
-    Raises:
-        DomainError: if ``|x|`` exceeds ``1 + ARCCOS_OVERSHOOT_TOL``.
-    """
-    if abs(x) > 1.0 + ARCCOS_OVERSHOOT_TOL:
-        raise DomainError(
-            f"inverse-cosine argument {x!r} lies outside [-1, 1] beyond round-off"
-        )
-    return min(1.0, max(-1.0, x))
-
-
-def _check_root_gaps(mu: np.ndarray) -> None:
-    """Raise :class:`DegenerateRoots` when two roots nearly coincide."""
-    gaps = [abs(mu[k] - mu[j]) for k in range(3) for j in range(k + 1, 3)]
-    smallest = min(gaps)
-    if smallest < DEGENERACY_TOL:
-        raise DegenerateRoots(
-            f"smallest root separation {smallest:.3e} is below {DEGENERACY_TOL:.0e}; "
-            "use the spectral propagator instead of the closed form"
-        )
 
 
 def spectral_quantities(params: SystemParams) -> SpectralQuantities:
@@ -181,28 +149,32 @@ def spectral_quantities(params: SystemParams) -> SpectralQuantities:
 
     The three nonzero subspace eigenvalues are the roots of the depressed
     cubic ``mu^3 - (delta^2 + 2*gamma^2 + 2*beta^2) * mu + 2*delta = 0``,
-    obtained here in trigonometric form.
+    obtained here in trigonometric form.  The inverse-cosine argument
+    ``-27 * delta / kappa^3`` never exceeds 1/3 in magnitude (the bound is
+    reached at ``delta^2 = 3``, ``n = 0``), and the roots lie at least
+    ``0.46 * kappa`` apart with ``kappa >= sqrt(18)``, so the weights are
+    finite for every real parameter.
 
     Raises:
-        DomainError: if the inverse-cosine argument overflows (a detuning
-            of magnitude above about 3.3e102) or leaves [-1, 1] beyond
-            round-off (does not occur for real parameters; kept as a guard).
-        DegenerateRoots: if two roots are closer than ``DEGENERACY_TOL``.
+        DomainError: if ``kappa^3`` overflows: a detuning of magnitude above
+            about 3.3e102 or a photon number above about 2.6e204.
     """
     gamma = float(np.sqrt(params.n_photon + 1.0))
     beta = float(np.sqrt(params.n_photon + 2.0))
     delta = float(params.delta)
     try:
         kappa = float(np.sqrt(3.0 * (delta**2 + 2.0 * (beta**2 + gamma**2))))
-        argument = _clamped_arccos_argument(-27.0 * delta / kappa**3)
-    except OverflowError as exc:
+        kappa_cubed = kappa**3
+    except OverflowError:
+        kappa_cubed = np.inf
+    if not np.isfinite(kappa_cubed):
         raise DomainError(
-            f"inverse-cosine argument overflows at detuning {delta!r}"
-        ) from exc
-    theta1 = np.arccos(argument) / 3.0
+            f"the cube of the root scale overflows at detuning {delta!r} "
+            f"and n_photon {params.n_photon:.6g}"
+        )
+    theta1 = np.arccos(-27.0 * delta / kappa_cubed) / 3.0
     theta = np.array([theta1, theta1 + 2.0 * np.pi / 3.0, theta1 + 4.0 * np.pi / 3.0])
     mu = (2.0 / 3.0) * kappa * np.cos(theta)
-    _check_root_gaps(mu)
     diffs = mu[:, None] - mu[None, :]
     alpha = np.array(
         [
@@ -211,14 +183,7 @@ def spectral_quantities(params: SystemParams) -> SpectralQuantities:
             1.0 / (diffs[0, 2] * diffs[1, 2]),
         ]
     )
-    return SpectralQuantities(
-        gamma=gamma,
-        beta=beta,
-        kappa=kappa,
-        theta=theta,
-        mu=mu,
-        alpha=alpha,
-    )
+    return SpectralQuantities(gamma=gamma, beta=beta, mu=mu, alpha=alpha)
 
 
 #: Photon number of each atomic basis state (|ee>, |eg>, |ge>, |gg>) above the

@@ -62,7 +62,7 @@ def propagate_closed_form(
     The closed form is under audit and may not be unitary.
 
     Args:
-        params: system parameters (roots must be non-degenerate).
+        params: system parameters.
         tau: scaled time.
         mode: ``"corrected"`` (default) applies the two documented repairs;
             ``"strict"`` evaluates the formulas verbatim.
@@ -73,7 +73,7 @@ def propagate_closed_form(
     indeterminate and is taken as 0.
 
     Raises:
-        DegenerateRoots: propagated from the root computation.
+        DomainError: propagated from the root computation.
         ValueError: on an unknown mode.
     """
     if mode not in CLOSED_FORM_MODES:
@@ -258,7 +258,7 @@ def audit_closed_form(params: SystemParams, tau_grid: Sequence[float]) -> AuditR
     ``tau == 0`` time of the grid.
 
     Raises:
-        DegenerateRoots, DomainError: propagated from the root computation.
+        DomainError: propagated from the root computation.
         ValueError: on an empty grid.
     """
     tau_values = [float(tau) for tau in tau_grid]

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from twoatomcavity import cli, entanglement, model
 from twoatomcavity.dynamics import SeriesColumns, time_series
 from twoatomcavity.entanglement import CLASS_LABELS
-from twoatomcavity.errors import DegenerateRoots
 from twoatomcavity.model import SystemParams, named_atomic_state
 
 from oracles import exact_single_block_series
@@ -424,6 +423,19 @@ class TestSweepMode:
         assert first[2] == "-1.00000000000e+00"  # never returns to zero
         assert first[3] == "0"
 
+    @pytest.mark.parametrize(
+        "spec, keys",
+        [("delta:1e-15:3e-15:3", ["1.00000000000e-15", "2.00000000000e-15", "3.00000000000e-15"]),
+         ("delta:-1e-15:-0.0:2", ["-1.00000000000e-15", "0.00000000000e+00"])],
+    )
+    def test_tiny_detunings_keep_distinct_keys(self, spec, keys, tmp_path):
+        # The swept value is an input, not round-off: it is never snapped to
+        # 0, and a negative zero prints as 0.
+        out = tmp_path / "sweep.csv"
+        argv = ["--sweep", spec, "--initial", "eg", "--steps", "11", "--output", str(out)]
+        assert run_cli(argv) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == keys
+
     def test_photon_sweep_uses_integers(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli(
@@ -510,33 +522,20 @@ class TestAuditMode:
         assert payload["tau_grid"][-1] == 10.0
         assert len(payload["tau_grid"]) == 21
 
-    def test_degenerate_roots_exit_2(self, tmp_path, capsys, monkeypatch):
-        # The guard is unreachable for real parameters, so force it to fire
-        # to pin down the computation-error exit path.
-        from twoatomcavity import propagator
-
-        def explode(*args, **kwargs):
-            raise DegenerateRoots(
-                "smallest root separation 0.0e+00 is below 1e-09; "
-                "use the spectral propagator instead of the closed form"
-            )
-
-        monkeypatch.setattr(cli, "audit_closed_form", explode)
-        out = tmp_path / "audit.json"
-        code = run_cli(["--mode", "audit", "--output", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "computation error" in err
-        assert "spectral propagator" in err
-
-    @pytest.mark.parametrize("delta", ["4e102", "-2e154"])
-    def test_overflowing_detuning_is_a_computation_error(self, delta, tmp_path):
+    @pytest.mark.parametrize("flags", [["--delta=4e102"], ["--delta=-2e154"],
+                                       ["--n-photon", str(10**230)],
+                                       ["--n-photon", str(10**308)]],
+                             ids=["delta-4e102", "delta--2e154", "n-1e230", "n-1e308"])
+    def test_overflowing_root_scale_is_a_computation_error(self, flags, tmp_path):
         # The cube of the root scale overflows above |delta| ~ 3.3e102 (the
-        # square of delta above ~1.3e154): one error line, no traceback.
-        done = run_module_strict(["--mode", "audit", f"--delta={delta}",
+        # square of delta above ~1.3e154) or n_photon ~ 2.6e204 (at 1e308
+        # the scale itself is infinite): one error line naming both
+        # parameters, no traceback.
+        done = run_module_strict(["--mode", "audit", *flags,
                                   "--output", str(tmp_path / "audit.json")])
         assert done.returncode == 2
         assert done.stderr.startswith("computation error: ") and done.stderr.count("\n") == 1
+        assert "detuning" in done.stderr and "n_photon" in done.stderr
 
     def test_overflowing_elements_are_reported_without_warnings(self, tmp_path, capsys):
         # Just below that edge some closed-form products overflow; the audit

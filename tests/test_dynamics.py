@@ -656,6 +656,12 @@ class TestSeriesStatistics:
         with pytest.raises(ValueError, match="zero length"):
             average_negativity([1.0, 1.0], [0.2, 0.4])
 
+    def test_average_needs_a_uniform_grid(self):
+        # The trapezoid weights assume one step; an uneven grid would
+        # average [1, 1, 1] over [0, 1, 3] to 2/3.
+        with pytest.raises(ValueError, match="not a uniform grid: step 1 is 2.0"):
+            average_negativity([0.0, 1.0, 3.0], [1.0, 1.0, 1.0])
+
     def test_a_sweeps_two_dimensional_columns_are_rejected(self):
         # A sweep's negativity leads with a point axis; each statistic takes
         # one point's column, and reading a (P, T) stack as one series would

@@ -2,21 +2,25 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twoatomcavity
 from twoatomcavity import dynamics, errors, model, propagator
-from twoatomcavity.errors import DegenerateRoots, DomainError, NotNormalized
+from twoatomcavity.errors import DomainError, NotNormalized
 from twoatomcavity.linalg import eig_hermitian, hermiticity_defect
 from twoatomcavity.model import (
     ATOMIC_STATE_NAMES,
     DEFAULT_CUTOFF_MARGIN,
     SystemParams,
     TwoAtomAmplitudes,
-    _check_root_gaps,
-    _clamped_arccos_argument,
     full_hamiltonian,
     named_atomic_state,
     spectral_quantities,
@@ -185,20 +189,15 @@ class TestSpectralQuantities:
     def test_roots_annihilate_block_determinant(self, delta, n):
         sq = spectral_quantities(SystemParams(delta=delta, n_photon=n))
         block = symmetric_block(delta, n)
+        kappa = np.sqrt(3.0 * (delta**2 + 2.0 * (sq.beta**2 + sq.gamma**2)))
         for mu in sq.mu:
             shifted = block - mu * np.eye(3)
-            assert abs(det3(shifted)) < 1e-8 * max(1.0, sq.kappa**3)
+            assert abs(det3(shifted)) < 1e-8 * max(1.0, kappa**3)
 
     def test_couplings(self):
         sq = spectral_quantities(SystemParams(delta=0.3, n_photon=5))
         assert sq.gamma == pytest.approx(np.sqrt(6.0), abs=1e-15)
         assert sq.beta == pytest.approx(np.sqrt(7.0), abs=1e-15)
-
-    def test_kappa_theta_generate_roots(self):
-        sq = spectral_quantities(SystemParams(delta=0.7, n_photon=2))
-        regenerated = (2.0 / 3.0) * sq.kappa * np.cos(sq.theta)
-        assert np.array_equal(regenerated, sq.mu)
-        assert np.allclose(np.diff(sq.theta), 2.0 * np.pi / 3.0, atol=1e-15)
 
     @pytest.mark.parametrize("delta", DELTA_GRID)
     @pytest.mark.parametrize("n", N_GRID)
@@ -218,31 +217,57 @@ class TestSpectralQuantities:
         assert sq.mu[1] == min(sq.mu)
 
 
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from((1.0, -1.0)), magnitudes).map(lambda pair: pair[0] * pair[1])
+
+
+#: Zero, subnormals and log-uniform magnitudes up to just below the overflow.
+_DETUNINGS = st.one_of(
+    st.just(0.0),
+    _signed(st.floats(5e-324, sys.float_info.min, exclude_max=True)),
+    _signed(st.floats(-300.0, math.log10(3e102)).map(lambda exponent: 10.0**exponent)),
+)
+
+#: Log-uniform photon numbers from 0 up to 2e204.
+_PHOTON_NUMBERS = st.floats(0.0, math.log10(2e204)).map(lambda exponent: int(10.0**exponent) - 1)
+
+
 class TestGuards:
-    def test_arccos_clamp_accepts_roundoff_overshoot(self):
-        assert _clamped_arccos_argument(1.0 + 5e-13) == 1.0
-        assert _clamped_arccos_argument(-1.0 - 5e-13) == -1.0
-        assert _clamped_arccos_argument(0.25) == 0.25
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(delta=_DETUNINGS, n=_PHOTON_NUMBERS)
+    @example(delta=math.sqrt(3.0), n=0)  # |argument| = 1/3 and the gap 0.4606 kappa
+    @example(delta=-math.sqrt(3.0), n=0)
+    @example(delta=0.0, n=2 * 10**204)
+    @example(delta=3e102, n=2 * 10**204)  # kappa^3 overflows
+    def test_roots_stay_apart_and_the_arccos_argument_inside_a_third(self, delta, n):
+        # Why the closed form needs no root-gap or arccos-range guard: with
+        # kappa = sqrt(3 * (delta^2 + 2 * (beta^2 + gamma^2))), the argument
+        # |27 delta / kappa^3| is at most 1/3 and the roots are at least
+        # 0.46 kappa apart; only the overflow of kappa^3 is an error.
+        kappa = math.sqrt(3.0 * (delta**2 + 2.0 * ((n + 2.0) + (n + 1.0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                sq = spectral_quantities(SystemParams(delta=delta, n_photon=n))
+            except DomainError:
+                assert 3.0 * math.log(kappa) > math.log(sys.float_info.max) - 1e-9
+                return
+        assert abs(27.0 * delta / kappa / kappa / kappa) <= (1.0 + 1e-12) / 3.0
+        gaps = [abs(sq.mu[k] - sq.mu[j]) for k in range(3) for j in range(k + 1, 3)]
+        assert min(gaps) >= 0.46 * kappa
 
-    def test_arccos_rejects_genuine_overshoot(self):
-        with pytest.raises(DomainError):
-            _clamped_arccos_argument(1.0 + 1e-11)
-
-    @pytest.mark.parametrize("delta", [4e102, -4e102, 2e154, 1e300])
-    def test_overflowing_detuning_is_a_domain_error(self, delta):
-        with pytest.raises(DomainError, match="overflows"):
-            spectral_quantities(SystemParams(delta=delta, n_photon=0))
+    @pytest.mark.parametrize(
+        "delta, n",
+        [(4e102, 0), (-4e102, 0), (2e154, 0), (1e300, 0), (0.0, 10**230), (0.0, 10**308)],
+    )
+    def test_overflowing_root_scale_is_a_domain_error(self, delta, n):
+        message = re.escape(f"overflows at detuning {delta!r} and n_photon")
+        with pytest.raises(DomainError, match=message):
+            spectral_quantities(SystemParams(delta=delta, n_photon=n))
 
     def test_largest_detunings_below_the_overflow_have_roots(self):
         sq = spectral_quantities(SystemParams(delta=3e102, n_photon=0))
         assert np.all(np.isfinite(sq.mu))
-
-    def test_degenerate_roots_rejected(self):
-        with pytest.raises(DegenerateRoots):
-            _check_root_gaps(np.array([0.5, 0.5 + 1e-10, 1.0]))
-
-    def test_separated_roots_accepted(self):
-        _check_root_gaps(np.array([-1.0, 0.0, 1.0]))
 
 
 class TestSubspaceHamiltonian:
