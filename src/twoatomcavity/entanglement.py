@@ -10,23 +10,22 @@ its thresholds are the module constants below.
 :func:`negativity` takes a single density matrix or any stack of them: the
 time series computes each sample's degree once and hands it to the stacked
 classifier (``_classify_stack``).  A two-qubit state with a positive
-semidefinite partial transpose (PPT) is separable, so :func:`negativity`
-first certifies, without an eigendecomposition, the samples whose partial
-transpose is PSD (``_ppt_certified``: two 2x2 blocks for an X-form matrix, a
-Cholesky factorization for any other, each with the margin ``_PPT_MARGIN``)
-and gives them the exact degree 0.0; it decomposes only the rest, in one
-stacked :func:`linalg.eig_hermitian` call.  Every sample still passes the
-trace check and the Hermiticity and finiteness checks of
-:func:`linalg.checked_hermitian`.  Of the states past the separability gate,
-the classifier first rules out, without an eigendecomposition, every state
-that provably gets no template label (``_may_match``): by the purity bound,
-the largest eigenvalue is at most the Frobenius norm; by the span bound, each
-template fidelity is at most ``tr(P rho) / max(PURITY_THRESHOLD, 1/4)`` for
-the template's projector ``P``.  It diagonalizes only the rest, in one
-stacked :func:`linalg.eig_hermitian` call, and fits every template to all of
-them at once (``_fit_stack``).  :func:`classify` takes one
-matrix, diagonalizes it past the gate without the bounds and reports the
-fidelity and coefficients of the fit.
+semidefinite partial transpose (PPT) is separable.  :func:`negativity`
+checks every trace, runs :func:`linalg.checked_hermitian` once over the
+whole partial-transpose stack, certifies PSD without an eigendecomposition
+what it can (``_ppt_certified``: two 2x2 blocks for an X-form matrix, a
+Cholesky factorization for any other, each with the margin ``_PPT_MARGIN``),
+gives those samples the exact degree 0.0 and decomposes only the rest, in one
+stacked :func:`linalg._decompose` call.  Of the states past the separability
+gate, the classifier first rules out, without an eigendecomposition, every
+state that provably gets no template label (``_may_match``): by the purity
+bound, the largest eigenvalue is at most the Frobenius norm; by the span
+bound, each template fidelity is at most
+``tr(P rho) / max(PURITY_THRESHOLD, 1/4)`` for the template's projector
+``P``.  It diagonalizes only the rest, in one stacked
+:func:`linalg._decompose` call, and fits every template to all of them at
+once (``_fit_stack``).  :func:`classify` diagonalizes one matrix past the
+gate without the bounds and reports the fidelity and coefficients of the fit.
 """
 from __future__ import annotations
 
@@ -76,10 +75,6 @@ class ClassMatch:
 #: Smallest eigenvalue, up to round-off, that the PSD certificate of
 #: :func:`negativity` demands of a partial transpose.
 _PPT_MARGIN = 1e-12
-
-#: Fewer certified samples than this are decomposed with the rest of their
-#: stack: gathering the rest costs about as much as decomposing 32 matrices.
-_SPLIT_MIN = 32
 
 #: Flat positions, in a 4x4 matrix, of the lower entries off the diagonal
 #: and the anti-diagonal.
@@ -157,13 +152,13 @@ def negativity(rho: np.ndarray) -> np.ndarray:
     Horodecki 1996) and gets the exact degree 0.0 when :func:`_ppt_certified`
     shows its partial transpose to be PSD.  Every other state gets
     ``sum(|eigenvalues|) - 1`` of its partial transpose, from one stacked
-    :func:`linalg.eig_hermitian` call, with no rounding or snapping.
+    :func:`linalg._decompose` call, with no rounding or snapping.
 
     Raises:
         NotNormalized: naming the first matrix whose trace is off by
             ``TRACE_TOL`` or more, or is not finite.
-        NotHermitian, ValueError: from :func:`linalg.checked_hermitian`, for
-            a non-Hermitian or non-finite partial transpose.
+        NotHermitian, ValueError: from one :func:`linalg.checked_hermitian`
+            of the whole partial-transpose stack, as :func:`linalg.eig_hermitian`.
         ValueError: for input whose last two axes are not 4x4.
     """
     rho = np.asarray(rho, dtype=np.complex128)
@@ -175,18 +170,11 @@ def negativity(rho: np.ndarray) -> np.ndarray:
         raise NotNormalized(
             f"density matrix trace {float(trace[off][0])!r} deviates from 1"
         )
-    pt = linalg.partial_transpose(rho).reshape(-1, 4, 4)
-    certified = _ppt_certified(pt)
-    if np.count_nonzero(certified) < _SPLIT_MIN:
-        spectra = linalg.eig_hermitian(pt)
-        degree = np.sum(np.abs(spectra.eigenvalues), axis=-1) - 1.0
-        degree[certified] = 0.0
-        return degree.reshape(rho.shape[:-2])[()]
-    linalg.checked_hermitian(pt)
+    pt = linalg.checked_hermitian(linalg.partial_transpose(rho).reshape(-1, 4, 4))
     degree = np.zeros(len(pt))
-    rest = np.flatnonzero(~certified)
+    rest = np.flatnonzero(~_ppt_certified(pt))
     if rest.size:
-        spectra = linalg.eig_hermitian(pt[rest])
+        spectra = linalg._decompose(pt[rest])
         degree[rest] = np.sum(np.abs(spectra.eigenvalues), axis=-1) - 1.0
     return degree.reshape(rho.shape[:-2])[()]
 
@@ -351,9 +339,9 @@ def _may_match(rho: np.ndarray) -> np.ndarray:
 def _fit_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 2-4 of :func:`classify` for states past the separability gate.
 
-    Diagonalizes every state in one stacked :func:`linalg.eig_hermitian`
-    call and fits every template to all of their dominant eigenvectors at
-    once.
+    Diagonalizes every state, unchecked (:func:`negativity` checked its
+    partial transpose), in one stacked :func:`linalg._decompose` call and
+    fits every template to all of their dominant eigenvectors at once.
 
     Returns:
         (indices into ``CLASS_LABELS`` ``(batch,)``, fidelities ``(batch,)``,
@@ -365,7 +353,7 @@ def _fit_stack(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels = np.full(count, _UNCLASSIFIED)
     fidelities = np.zeros(count)
     coefficients = np.zeros((count, _MAX_COEFFICIENTS))
-    spectrum = linalg.eig_hermitian(rho)
+    spectrum = linalg._decompose(rho)
     eigenvalues, eigenvectors = spectrum.eigenvalues, spectrum.eigenvectors
     fitted = np.flatnonzero(~(eigenvalues[:, -1] < PURITY_THRESHOLD))
     states = eigenvectors[fitted, :, -1]

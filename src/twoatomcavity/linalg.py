@@ -13,12 +13,12 @@ of matrices or states (a leading batch shape), so
 :func:`twoatomcavity.dynamics.time_series` diagonalizes the excitation blocks
 of one size of every point in one :func:`eig_hermitian` call and evaluates a
 whole chunk of up to 1024 rows, which may span the points of a sweep, in one
-call of each.  :func:`eig_hermitian` is the package's only eigensolver: the
-negativity, the classifier and the closed-form audit call it too.  Its
-checks are :func:`checked_hermitian`, which the negativity also runs, so
-that the matrices it certifies without decomposing them are checked too.
-:meth:`HermitianEigensystem.unitary` takes an array of times, so the audit
-builds the reference propagators of its whole time grid in one call.
+call of each.  :func:`eig_hermitian` is :func:`checked_hermitian` then
+:func:`_decompose`, the package's one ``eigh`` call.  The negativity checks
+each partial-transpose stack once and decomposes only what it cannot certify
+PSD; the classifier's fit decomposes states whose partial transposes passed
+that check.  :meth:`HermitianEigensystem.unitary` takes an array of times, so
+the audit builds the reference propagators of its whole time grid in one call.
 Stacking changes no bits: NumPy's ``eigh`` and ``matmul`` apply the same
 LAPACK/BLAS routine to each matrix of a stack as to a single matrix.
 """
@@ -86,8 +86,8 @@ def checked_hermitian(m: np.ndarray) -> np.ndarray:
 
     Callers that decide from the matrices themselves which of them to
     decompose, such as the negativity's PSD certificate, check the whole
-    stack here first, so that every matrix raises as it would in
-    :func:`eig_hermitian`.
+    stack here once, so that every matrix raises as it would in
+    :func:`eig_hermitian`, and pass the ones they keep to :func:`_decompose`.
 
     Raises:
         NotHermitian: if the Hermiticity check fails for any matrix.
@@ -114,12 +114,23 @@ def checked_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _decompose(m: np.ndarray) -> HermitianEigensystem:
+    """:func:`eig_hermitian` of matrices that passed :func:`checked_hermitian`.
+
+    The package's one ``eigh`` call: a stack is decomposed by one call,
+    which gives each matrix the bits of its own call.
+    """
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    return HermitianEigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
 def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
     """Eigendecompose a Hermitian matrix or a stack of them.
 
-    Every eigendecomposition of the package goes through this function.  A
-    stack is decomposed by one ``eigh`` call, which gives each matrix the
-    bits of its own call.
+    :func:`checked_hermitian`, then :func:`_decompose`.
 
     Args:
         m: square matrices ``(..., d, d)`` with ``d`` at most ``MAX_DIM``,
@@ -134,12 +145,7 @@ def eig_hermitian(m: np.ndarray) -> HermitianEigensystem:
         ConvergenceFailure: if the underlying iteration does not converge.
         ValueError: for non-square, oversized, or non-finite input.
     """
-    m = checked_hermitian(m)
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    return HermitianEigensystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return _decompose(checked_hermitian(m))
 
 
 def expm_i_hermitian(m: np.ndarray, t: float) -> np.ndarray:

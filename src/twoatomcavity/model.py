@@ -18,6 +18,7 @@ for any block.
 """
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -40,14 +41,17 @@ class SystemParams:
     (``tau = coupling * t``), so the coupling itself is 1 and no parameter.
 
     Attributes:
-        delta: detuning in units of the coupling.
-        n_photon: initial photon number of the cavity mode.
+        delta: detuning in units of the coupling, a ``float``.
+        n_photon: initial photon number of the cavity mode, an ``int``.
     """
 
     delta: float
     n_photon: int
 
     def __post_init__(self) -> None:
+        for name, value in (("delta", self.delta), ("n_photon", self.n_photon)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta!r}")
         # Every layer computes with float(n_photon), so it must fit a double.
@@ -56,6 +60,8 @@ class SystemParams:
                 f"n_photon must be a non-negative integer within float range, "
                 f"got {self.n_photon!r}"
             )
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "n_photon", int(self.n_photon))
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def spectral_quantities(params: SystemParams) -> SpectralQuantities:
     """
     gamma = float(np.sqrt(params.n_photon + 1.0))
     beta = float(np.sqrt(params.n_photon + 2.0))
-    delta = float(params.delta)
+    delta = params.delta
     try:
         kappa = float(np.sqrt(3.0 * (delta**2 + 2.0 * (beta**2 + gamma**2))))
         kappa_cubed = kappa**3

@@ -78,7 +78,7 @@ def propagate_closed_form(
     """
     if mode not in CLOSED_FORM_MODES:
         raise ValueError(f"unknown closed-form mode {mode!r}; choose from {CLOSED_FORM_MODES}")
-    matrices = _closed_form_matrices(spectral_quantities(params), float(params.delta), tau)
+    matrices = _closed_form_matrices(spectral_quantities(params), params.delta, tau)
     return matrices[CLOSED_FORM_MODES.index(mode)]
 
 
@@ -267,10 +267,9 @@ def audit_closed_form(params: SystemParams, tau_grid: Sequence[float]) -> AuditR
     # The roots, weights and subspace eigensystem do not depend on tau.
     sq = spectral_quantities(params)
     system = linalg.eig_hermitian(subspace_hamiltonian(params))
-    delta = float(params.delta)
     taus = np.array(tau_values)
     # (tau, mode, 4, 4) closed forms against (tau, 1, 4, 4) references.
-    closed = np.stack([_closed_form_matrices(sq, delta, tau) for tau in tau_values])
+    closed = np.stack([_closed_form_matrices(sq, params.delta, tau) for tau in tau_values])
     deviation = np.abs(closed - system.unitary(taus)[:, None])
     deviation[~np.isfinite(deviation)] = np.inf
     zeros = np.flatnonzero(taus == 0.0)
@@ -278,7 +277,7 @@ def audit_closed_form(params: SystemParams, tau_grid: Sequence[float]) -> AuditR
         dict(zip(CLOSED_FORM_MODES, np.abs(closed[zeros[0]] - np.eye(4)))) if zeros.size else {}
     )
     return AuditReport(
-        delta=delta,
+        delta=params.delta,
         n_photon=params.n_photon,
         tau_grid=tuple(tau_values),
         deviations=dict(zip(CLOSED_FORM_MODES, deviation.max(axis=0))),

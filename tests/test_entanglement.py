@@ -138,8 +138,7 @@ class TestNegativity:
             single_spectrum = eig_hermitian(partial_transpose(states[index])).eigenvalues
             assert np.array_equal(stacked_spectra[index], single_spectrum)
 
-    @pytest.mark.parametrize(
-        "certified_count", [0, 1, entanglement._SPLIT_MIN - 1, entanglement._SPLIT_MIN, 50])
+    @pytest.mark.parametrize("certified_count", [0, 1, 31, 32, 50])
     def test_certified_samples_split_off_or_not_equal_per_matrix_calls(self, rng,
                                                                        certified_count):
         # Separable states (mixtures with the identity) and entangled ones,
@@ -153,7 +152,7 @@ class TestNegativity:
         assert np.array_equal(stacked, [negativity(rho) for rho in states])
         assert np.count_nonzero(stacked == 0.0) == certified_count
 
-    @pytest.mark.parametrize("certified_count", [1, entanglement._SPLIT_MIN + 8])
+    @pytest.mark.parametrize("certified_count", [1, 40])
     @pytest.mark.parametrize("faults", [
         {"certified": ("upper", 1e-3)},
         {"certified": ("upper", np.nan)},
@@ -164,8 +163,9 @@ class TestNegativity:
     ])
     def test_bad_stacks_raise_as_one_eigendecomposition_would(self, certified_count, faults):
         # The certificate reads only the lower triangle, so a certified matrix
-        # can hide a fault above the diagonal; whatever the split, the error
-        # is the one eig_hermitian raises for the whole partial-transpose stack.
+        # can hide a fault above the diagonal; however many are certified, the
+        # error is the one eig_hermitian raises for the whole partial-transpose
+        # stack.
         pts = {"certified": partial_transpose(np.eye(4) / 4.0),
                "entangled": partial_transpose(pure_rho(named_atomic_state("singlet")))}
         for kind, (triangle, value) in faults.items():

@@ -27,6 +27,8 @@ LAYERS = (
     ("linalg", "partial_trace_field"),
     ("linalg", "partial_transpose"),
     ("linalg", "eig_hermitian"),
+    ("linalg", "_decompose"),
+    ("linalg", "hermiticity_defect"),
     ("entanglement", "negativity"),
     ("entanglement", "_classify_stack"),
     ("dynamics", "first_negativity_zero"),
@@ -78,13 +80,24 @@ SWEEP = ["--sweep", f"delta:0.1:1.0:{SWEEP_POINTS}", "--initial", "eg",
 SERIES_CHUNKS = math.ceil(SERIES_STEPS / _CHUNK_SAMPLES)
 SWEEP_CHUNKS = math.ceil(SWEEP_POINTS * SWEEP_STEPS / _CHUNK_SAMPLES)
 
-#: Eigendecompositions: one stacked call for the excitation blocks of each
-#: size (this series and sweep have one size), then per chunk one for the
-#: partial transposes the negativity cannot certify PSD and, in the series,
-#: one for the classifier's fit of the samples its bounds cannot rule out
-#: (every chunk of this series has some of each).
-SERIES_EIGH = 1 + 2 * SERIES_CHUNKS
-SWEEP_EIGH = 1 + SWEEP_CHUNKS
+#: A custom product at ``n = 4`` reaches three excitation blocks of one size;
+#: its 3000 samples fill three chunks, and the classifier's bounds rule out
+#: every sample past its gate, so it fits none.
+CUSTOM_STEPS = 3000
+CUSTOM = ["--initial", "custom", "--amplitudes", "0.6,0.8,0.8,0.6j", "--n-photon", "4",
+          "--steps", str(CUSTOM_STEPS)]
+CUSTOM_CHUNKS = math.ceil(CUSTOM_STEPS / _CHUNK_SAMPLES)
+
+#: Eigendecompositions: one checked ``eig_hermitian`` call for the
+#: excitation blocks of each size (each of these runs has one size), then per
+#: chunk one ``_decompose`` of the partial transposes the negativity cannot
+#: certify PSD and, in the eg series, one of the classifier's fit of the
+#: samples its bounds cannot rule out (every chunk of it has some of each).
+#: ``eig_hermitian`` decomposes through ``_decompose``, which counts it too.
+#: Hermiticity passes: one per block size and one per chunk, in the
+#: negativity; what it and the classifier decompose is not checked again.
+SERIES_DECOMPOSE = 1 + 2 * SERIES_CHUNKS
+SWEEP_DECOMPOSE = 1 + SWEEP_CHUNKS
 
 
 @pytest.mark.parametrize(
@@ -92,15 +105,22 @@ SWEEP_EIGH = 1 + SWEEP_CHUNKS
     [
         (SERIES, {"time_series": 1, "populations": SERIES_CHUNKS,
                   "partial_trace_field": SERIES_CHUNKS,
-                  "partial_transpose": SERIES_CHUNKS, "eig_hermitian": SERIES_EIGH,
+                  "partial_transpose": SERIES_CHUNKS, "eig_hermitian": 1,
+                  "_decompose": SERIES_DECOMPOSE, "hermiticity_defect": 1 + SERIES_CHUNKS,
                   "negativity": SERIES_CHUNKS, "_classify_stack": SERIES_CHUNKS}),
         (SWEEP, {"time_series": 1, "partial_trace_field": SWEEP_CHUNKS,
-                 "partial_transpose": SWEEP_CHUNKS, "eig_hermitian": SWEEP_EIGH,
+                 "partial_transpose": SWEEP_CHUNKS, "eig_hermitian": 1,
+                 "_decompose": SWEEP_DECOMPOSE, "hermiticity_defect": 1 + SWEEP_CHUNKS,
                  "negativity": SWEEP_CHUNKS,
                  "first_negativity_zero": SWEEP_POINTS, "negativity_zero_count": SWEEP_POINTS,
                  "average_negativity": SWEEP_POINTS}),
+        (CUSTOM, {"time_series": 1, "populations": CUSTOM_CHUNKS,
+                  "partial_trace_field": CUSTOM_CHUNKS,
+                  "partial_transpose": CUSTOM_CHUNKS, "eig_hermitian": 1,
+                  "_decompose": 1 + CUSTOM_CHUNKS, "hermiticity_defect": 1 + CUSTOM_CHUNKS,
+                  "negativity": CUSTOM_CHUNKS, "_classify_stack": CUSTOM_CHUNKS}),
     ],
-    ids=["series", "sweep"],
+    ids=["series", "sweep", "custom"],
 )
 def test_cli_runs_reach_every_wrapped_layer(tmp_path, argv, expected):
     plain = tmp_path / "plain.csv"
@@ -130,6 +150,7 @@ def test_a_certified_series_decomposes_only_its_block(tmp_path):
     assert dict(calls) == {"time_series": 1, "populations": PRESET_CHUNKS,
                            "partial_trace_field": PRESET_CHUNKS,
                            "partial_transpose": PRESET_CHUNKS, "eig_hermitian": 1,
+                           "_decompose": 1, "hermiticity_defect": 1 + PRESET_CHUNKS,
                            "negativity": PRESET_CHUNKS, "_classify_stack": PRESET_CHUNKS}
     assert traced.read_bytes() == plain.read_bytes()
 
@@ -152,6 +173,8 @@ def test_cli_audit_decomposes_once_whatever_the_grid(tmp_path, capsys, grid_leng
         assert cli.main([*AUDIT, "--output", str(traced)]) == 0
     assert dict(calls) == {
         "eig_hermitian": 1,
+        "_decompose": 1,
+        "hermiticity_defect": 1,
         "spectral_quantities": 1,
         "_closed_form_matrices": grid_length,
     }

@@ -1,6 +1,8 @@
 """Linear-algebra kernel tests against independent oracles."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -190,9 +192,12 @@ class TestUnitaryOverTimes:
 
 
 def test_one_eigensolver():
-    # Every eigendecomposition goes through eig_hermitian, which takes stacks.
+    # Every eigendecomposition goes through the one eigh call of
+    # linalg._decompose, which takes stacks.
     assert not hasattr(linalg, "_eigh_stack")
     assert not hasattr(linalg, "_validate_square")
+    sources = Path(linalg.__file__).parent.glob("*.py")
+    assert sum(path.read_text().count("linalg.eigh(") for path in sources) == 1
 
 
 class TestExpm:

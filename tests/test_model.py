@@ -94,6 +94,26 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(delta=np.inf, n_photon=0)
 
+    @pytest.mark.parametrize("delta, n_photon", [
+        (True, 2), (0.5, True), (0.5, np.bool_(True)), (1j, 2), (0.5, 2 + 0j), ("0.5", 2),
+    ])
+    def test_rejects_a_bool_or_a_non_real_number(self, delta, n_photon):
+        with pytest.raises(ValueError, match="must be a real number"):
+            SystemParams(delta=delta, n_photon=n_photon)
+
+    @pytest.mark.parametrize("delta, n_photon", [
+        (0.5, np.int64(2)), (np.float32(0.5), 2), (0.5, 2.0), (1, np.uint8(2)),
+    ])
+    def test_stores_a_float_and_an_int(self, delta, n_photon):
+        params = SystemParams(delta=delta, n_photon=n_photon)
+        assert (type(params.delta), type(params.n_photon)) == (float, int)
+        assert (params.delta, params.n_photon) == (delta, n_photon)
+        # A NumPy scalar would not survive the audit's JSON report.
+        report = propagator.audit_closed_form(params, (0.0, 1.0)).to_json()
+        assert report == propagator.audit_closed_form(
+            SystemParams(delta=float(delta), n_photon=int(n_photon)), (0.0, 1.0)
+        ).to_json()
+
 
 class TestTwoAtomAmplitudes:
     def test_valid_product_state(self):
