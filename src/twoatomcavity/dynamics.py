@@ -24,12 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import entanglement, linalg
-from .model import (
-    BLOCK_PHOTON_OFFSETS,
-    SystemParams,
-    TwoAtomAmplitudes,
-    excitation_block,
-)
+from .model import BLOCK_PHOTON_OFFSETS, SystemParams, TwoAtomAmplitudes, excitation_blocks
 
 #: Populations more negative than this are genuine violations, not round-off.
 POPULATION_CLAMP = 1e-12
@@ -88,45 +83,45 @@ def _populated_blocks(points: list[SystemParams], atomic: np.ndarray) -> list[_B
 
     The block whose lowest photon number is ``n - shift`` holds the prepared
     states at photon ``n`` whose photon offset equals ``shift``: |ee> for 0,
-    |eg> and |ge> for 1, |gg> for 2.  Below ``n = shift`` the block loses its
-    states of negative photon number and has 3 or 1 states.  The blocks of
-    equal size, over all shifts and points, are diagonalized in one stacked
-    :func:`linalg.eig_hermitian` call; a block's states sit at atomic index
-    ``kept`` and photon level ``offset + 2 - shift`` of the levels n-2..n+2.
+    |eg> and |ge> for 1, |gg> for 2.  One :func:`excitation_blocks` call builds
+    the block of every populated shift and point.  Below ``n = shift`` a block
+    drops its leading states, of negative photon number, and keeps 3 or 1.  The
+    blocks of equal size are diagonalized in one stacked
+    :func:`linalg.eig_hermitian` call and split into one stack per shift; a
+    block's states sit at photon level ``offset + 2 - shift`` of n-2..n+2.
     """
     offsets = np.array(BLOCK_PHOTON_OFFSETS)
-    # (shift, kept) -> the points with that block and its rows in the stack of its size.
-    members: dict[tuple[int, tuple[int, ...]], tuple[list[int], list[int]]] = {}
-    hamiltonians: dict[int, list[np.ndarray]] = {}
-    for shift in (0, 1, 2):
-        if not np.any(atomic[offsets == shift]):
-            continue
-        for point, params in enumerate(points):
-            hamiltonian, kept = excitation_block(params.delta, params.n_photon - shift)
-            stack = hamiltonians.setdefault(len(kept), [])
-            group, rows = members.setdefault((shift, tuple(kept)), ([], []))
-            group.append(point)
-            rows.append(len(stack))
-            stack.append(hamiltonian)
-    spectra = {size: linalg.eig_hermitian(np.stack(stack)) for size, stack in hamiltonians.items()}
+    shifts = [shift for shift in (0, 1, 2) if np.any(atomic[offsets == shift])]
+    # n_photon - shift is formed exactly before it becomes a double: above
+    # 2**53, float(n_photon) - shift rounds differently.
+    lowest = np.array([float(params.n_photon - shift) for shift in shifts for params in points])
+    lowest = lowest.reshape(len(shifts), len(points))
+    hamiltonians = excitation_blocks([params.delta for params in points], lowest)
+    drops = np.searchsorted(offsets, -lowest)
     stacks = []
-    for (shift, kept), (group, rows) in members.items():
-        atoms = np.array(kept)
-        spectrum = spectra[len(atoms)]
-        eigenvalues, eigenvectors = spectrum.eigenvalues[rows], spectrum.eigenvectors[rows]
-        start = np.where(offsets == shift, atomic, 0.0)[atoms]
-        slots = np.full(len(points), -1)
-        slots[group] = np.arange(len(group))
-        stacks.append(
-            _BlockStack(
-                slots,
-                eigenvalues,
-                eigenvectors,
-                eigenvectors.conj().swapaxes(-1, -2) @ start,
-                atoms,
-                offsets[atoms] + 2 - shift,
+    for drop in np.unique(drops).tolist():
+        members = drops == drop
+        spectrum = linalg.eig_hermitian(hamiltonians[members][:, drop:, drop:])
+        atoms = np.arange(drop, 4)
+        member_shifts, member_points = np.nonzero(members)
+        for index, shift in enumerate(shifts):
+            rows = member_shifts == index
+            if not rows.any():
+                continue
+            eigenvectors = spectrum.eigenvectors[rows]
+            start = np.where(offsets == shift, atomic, 0.0)[atoms]
+            slots = np.full(len(points), -1)
+            slots[member_points[rows]] = np.arange(np.count_nonzero(rows))
+            stacks.append(
+                _BlockStack(
+                    slots,
+                    spectrum.eigenvalues[rows],
+                    eigenvectors,
+                    eigenvectors.conj().swapaxes(-1, -2) @ start,
+                    atoms,
+                    offsets[atoms] + 2 - shift,
+                )
             )
-        )
     return stacks
 
 
@@ -172,7 +167,7 @@ def time_series(
     with ``populations`` and ``labels`` set to ``None``.
 
     Raises:
-        ValueError: if ``steps < 2`` or ``tau_max`` is not positive and finite.
+        ValueError: if ``steps < 2`` or ``tau_max`` is a bool or not positive and finite.
         NotNormalized: if a sampled state's squared norm is off by
             ``linalg.NORMALIZATION_TOL`` or is not finite (a phase that
             overflows makes it NaN); it names the first such row in (point,
@@ -180,7 +175,7 @@ def time_series(
     """
     if int(steps) != steps or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
-    if not (0.0 < tau_max < np.inf):
+    if isinstance(tau_max, (bool, np.bool_)) or not (0.0 < tau_max < np.inf):
         raise ValueError(f"tau_max must be positive and finite, got {tau_max!r}")
     steps = int(steps)
     single = isinstance(params, SystemParams)

@@ -13,8 +13,8 @@ into blocks of at most four states.  Starting from |ee, n>, the dynamics only
 reaches |ee, n>, |eg, n+1>, |ge, n+1>, |gg, n+2>.  On that invariant subspace
 the Hamiltonian is a real symmetric 4x4 matrix whose nonzero structure is
 captured by the couplings ``gamma = sqrt(n+1)`` (first emission) and
-``beta = sqrt(n+2)`` (second emission); :func:`excitation_block` builds it
-for any block.
+``beta = sqrt(n+2)`` (second emission); :func:`excitation_blocks` builds a
+stack of such blocks in one array expression.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .errors import DomainError, NotNormalized
 #: Tolerance on ``| |a|^2 + |b|^2 - 1 |`` for each atom's amplitudes.
 AMPLITUDE_TOL = 1e-9
 
-#: Photon levels above ``n_photon`` kept by :func:`full_hamiltonian`.
+#: Photon levels above ``n_photon`` that :func:`full_hamiltonian` retains.
 DEFAULT_CUTOFF_MARGIN = 6
 
 
@@ -52,16 +52,20 @@ class SystemParams:
         for name, value in (("delta", self.delta), ("n_photon", self.n_photon)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not np.isfinite(self.delta):
+        # Compare Python numbers: a float32 scalar would cast the bound to float32 and overflow.
+        delta, n_photon = (
+            v.item() if isinstance(v, np.generic) else v for v in (self.delta, self.n_photon)
+        )
+        if not -sys.float_info.max <= delta <= sys.float_info.max:
             raise ValueError(f"delta must be finite, got {self.delta!r}")
         # Every layer computes with float(n_photon), so it must fit a double.
-        if not 0 <= self.n_photon <= sys.float_info.max or int(self.n_photon) != self.n_photon:
+        if not 0 <= n_photon <= sys.float_info.max or int(n_photon) != n_photon:
             raise ValueError(
                 f"n_photon must be a non-negative integer within float range, "
                 f"got {self.n_photon!r}"
             )
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "n_photon", int(self.n_photon))
+        object.__setattr__(self, "delta", float(delta))
+        object.__setattr__(self, "n_photon", int(n_photon))
 
 
 @dataclass(frozen=True)
@@ -197,39 +201,38 @@ def spectral_quantities(params: SystemParams) -> SpectralQuantities:
 BLOCK_PHOTON_OFFSETS = (0, 1, 1, 2)
 
 
-def excitation_block(delta: float, lowest_photon: int) -> tuple[np.ndarray, list[int]]:
-    """Hamiltonian of one excitation block and the atomic indices it keeps.
+def excitation_blocks(delta: np.ndarray, lowest_photon: np.ndarray) -> np.ndarray:
+    """Hamiltonians ``(..., 4, 4)`` of excitation blocks, broadcast over both arrays.
 
     The block with ``lowest_photon = m`` spans (|ee,m>, |eg,m+1>, |ge,m+1>,
     |gg,m+2>), all with ``m + 2`` excitations, in units of the coupling.  The
     detuning splits symmetrically as ``diag(+delta, 0, 0, -delta)``; the
     off-diagonals are the emission couplings ``gamma = sqrt(m+1)`` and
-    ``beta = sqrt(m+2)``.  States with a negative photon number do not exist
-    and are dropped: for ``m = -1`` the block is 3x3 and for ``m = -2`` it is
-    the single state |gg,0>.
+    ``beta = sqrt(m+2)``.  A state of negative photon number does not exist;
+    its couplings are exactly 0.  Because ``BLOCK_PHOTON_OFFSETS`` ascends,
+    such states are the first ``np.searchsorted(BLOCK_PHOTON_OFFSETS, -m)``
+    of the block (one for ``m = -1``, three for ``m = -2``), and the block of
+    the states that exist is the trailing square that remains.
     """
-    gamma = np.sqrt(max(lowest_photon + 1.0, 0.0))
-    beta = np.sqrt(max(lowest_photon + 2.0, 0.0))
-    hamiltonian = np.array(
-        [
-            [delta, gamma, gamma, 0.0],
-            [gamma, 0.0, 0.0, beta],
-            [gamma, 0.0, 0.0, beta],
-            [0.0, beta, beta, -delta],
-        ],
-        dtype=np.complex128,
-    )
-    kept = [j for j, offset in enumerate(BLOCK_PHOTON_OFFSETS) if lowest_photon + offset >= 0]
-    return hamiltonian[np.ix_(kept, kept)], kept
+    delta = np.asarray(delta, dtype=np.float64)
+    lowest = np.asarray(lowest_photon, dtype=np.float64)
+    gamma = np.sqrt(np.maximum(lowest + 1.0, 0.0))[..., None]
+    beta = np.sqrt(np.maximum(lowest + 2.0, 0.0))[..., None]
+    shape = np.broadcast_shapes(delta.shape, lowest.shape)
+    hamiltonians = np.zeros(shape + (4, 4), dtype=np.complex128)
+    hamiltonians[..., 0, 0], hamiltonians[..., 3, 3] = delta, -delta
+    hamiltonians[..., 0, 1:3] = hamiltonians[..., 1:3, 0] = gamma
+    hamiltonians[..., 3, 1:3] = hamiltonians[..., 1:3, 3] = beta
+    return hamiltonians
 
 
 def subspace_hamiltonian(params: SystemParams) -> np.ndarray:
     """Interaction-picture Hamiltonian on the invariant subspace of |ee, n>.
 
     Basis order (|ee,n>, |eg,n+1>, |ge,n+1>, |gg,n+2>): the excitation block
-    of :func:`excitation_block` with ``lowest_photon = n_photon``.
+    of :func:`excitation_blocks` with ``lowest_photon = n_photon``.
     """
-    return excitation_block(params.delta, params.n_photon)[0]
+    return excitation_blocks(params.delta, params.n_photon)
 
 
 def full_hamiltonian(params: SystemParams) -> np.ndarray:

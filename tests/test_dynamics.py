@@ -309,6 +309,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             time_series(params, named_atomic_state("ee"), tau_max, 5)
 
+    @pytest.mark.parametrize("tau_max", [True, np.True_])
+    def test_rejects_a_bool_window(self, tau_max):
+        # SystemParams and the CLI reject a bool; True is not the window 1.0.
+        params = SystemParams(delta=0.0, n_photon=0)
+        with pytest.raises(ValueError, match="tau_max"):
+            time_series(params, named_atomic_state("eg"), tau_max, 3)
+
     def test_overflowing_phase_is_a_computation_error(self):
         # tau * eigenvalue overflows to inf, so the phases and the state are
         # NaN: one error, and no NumPy warning ahead of it.

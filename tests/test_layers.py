@@ -34,6 +34,7 @@ LAYERS = (
     ("dynamics", "first_negativity_zero"),
     ("dynamics", "negativity_zero_count"),
     ("dynamics", "average_negativity"),
+    ("model", "excitation_blocks"),
     ("model", "spectral_quantities"),
     ("linalg", "expm_i_hermitian"),
     ("propagator", "propagate_spectral"),
@@ -88,11 +89,13 @@ CUSTOM = ["--initial", "custom", "--amplitudes", "0.6,0.8,0.8,0.6j", "--n-photon
           "--steps", str(CUSTOM_STEPS)]
 CUSTOM_CHUNKS = math.ceil(CUSTOM_STEPS / _CHUNK_SAMPLES)
 
-#: Eigendecompositions: one checked ``eig_hermitian`` call for the
-#: excitation blocks of each size (each of these runs has one size), then per
-#: chunk one ``_decompose`` of the partial transposes the negativity cannot
-#: certify PSD and, in the eg series, one of the classifier's fit of the
-#: samples its bounds cannot rule out (every chunk of it has some of each).
+#: Hamiltonians: one ``excitation_blocks`` call builds the block of every
+#: populated shift and point.  Eigendecompositions: one checked
+#: ``eig_hermitian`` call for the excitation blocks of each size (each of
+#: these runs has one size), then per chunk one ``_decompose`` of the
+#: partial transposes the negativity cannot certify PSD and, in the eg
+#: series, one of the classifier's fit of the samples its bounds cannot
+#: rule out (every chunk of it has some of each).
 #: ``eig_hermitian`` decomposes through ``_decompose``, which counts it too.
 #: Hermiticity passes: one per block size and one per chunk, in the
 #: negativity; what it and the classifier decompose is not checked again.
@@ -103,18 +106,19 @@ SWEEP_DECOMPOSE = 1 + SWEEP_CHUNKS
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (SERIES, {"time_series": 1, "populations": SERIES_CHUNKS,
+        (SERIES, {"time_series": 1, "excitation_blocks": 1, "populations": SERIES_CHUNKS,
                   "partial_trace_field": SERIES_CHUNKS,
                   "partial_transpose": SERIES_CHUNKS, "eig_hermitian": 1,
                   "_decompose": SERIES_DECOMPOSE, "hermiticity_defect": 1 + SERIES_CHUNKS,
                   "negativity": SERIES_CHUNKS, "_classify_stack": SERIES_CHUNKS}),
-        (SWEEP, {"time_series": 1, "partial_trace_field": SWEEP_CHUNKS,
+        (SWEEP, {"time_series": 1, "excitation_blocks": 1,
+                 "partial_trace_field": SWEEP_CHUNKS,
                  "partial_transpose": SWEEP_CHUNKS, "eig_hermitian": 1,
                  "_decompose": SWEEP_DECOMPOSE, "hermiticity_defect": 1 + SWEEP_CHUNKS,
                  "negativity": SWEEP_CHUNKS,
                  "first_negativity_zero": SWEEP_POINTS, "negativity_zero_count": SWEEP_POINTS,
                  "average_negativity": SWEEP_POINTS}),
-        (CUSTOM, {"time_series": 1, "populations": CUSTOM_CHUNKS,
+        (CUSTOM, {"time_series": 1, "excitation_blocks": 1, "populations": CUSTOM_CHUNKS,
                   "partial_trace_field": CUSTOM_CHUNKS,
                   "partial_transpose": CUSTOM_CHUNKS, "eig_hermitian": 1,
                   "_decompose": 1 + CUSTOM_CHUNKS, "hermiticity_defect": 1 + CUSTOM_CHUNKS,
@@ -147,7 +151,8 @@ def test_a_certified_series_decomposes_only_its_block(tmp_path):
     with pytest.MonkeyPatch.context() as patch:
         calls = count_layer_calls(patch)
         assert cli.main(["--preset", "fig2a", "--output", str(traced)]) == 0
-    assert dict(calls) == {"time_series": 1, "populations": PRESET_CHUNKS,
+    assert dict(calls) == {"time_series": 1, "excitation_blocks": 1,
+                           "populations": PRESET_CHUNKS,
                            "partial_trace_field": PRESET_CHUNKS,
                            "partial_transpose": PRESET_CHUNKS, "eig_hermitian": 1,
                            "_decompose": 1, "hermiticity_defect": 1 + PRESET_CHUNKS,
@@ -160,8 +165,8 @@ AUDIT = ["--mode", "audit", "--delta", "0.37", "--n-photon", "4"]
 
 @pytest.mark.parametrize("grid_length", [1, 2, 21, 50])
 def test_cli_audit_decomposes_once_whatever_the_grid(tmp_path, capsys, grid_length):
-    """One eigendecomposition and one root computation per audit, and one
-    closed-form pass per grid time that covers both modes."""
+    """One Hamiltonian, one eigendecomposition and one root computation per
+    audit, and one closed-form pass per grid time that covers both modes."""
     grid = tuple(np.linspace(0.0, 10.0, grid_length).tolist())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "AUDIT_TAU_GRID", grid)
@@ -172,6 +177,7 @@ def test_cli_audit_decomposes_once_whatever_the_grid(tmp_path, capsys, grid_leng
         traced = tmp_path / "traced.json"
         assert cli.main([*AUDIT, "--output", str(traced)]) == 0
     assert dict(calls) == {
+        "excitation_blocks": 1,
         "eig_hermitian": 1,
         "_decompose": 1,
         "hermiticity_defect": 1,

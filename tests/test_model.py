@@ -21,6 +21,7 @@ from twoatomcavity.model import (
     DEFAULT_CUTOFF_MARGIN,
     SystemParams,
     TwoAtomAmplitudes,
+    excitation_blocks,
     full_hamiltonian,
     named_atomic_state,
     spectral_quantities,
@@ -93,6 +94,18 @@ class TestSystemParams:
     def test_rejects_non_finite_delta(self):
         with pytest.raises(ValueError):
             SystemParams(delta=np.inf, n_photon=0)
+
+    @pytest.mark.parametrize("delta", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_rejects_a_delta_beyond_float_range(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            SystemParams(delta=delta, n_photon=0)
+
+    @pytest.mark.parametrize("scalar", [np.float32, np.float16])
+    def test_accepts_a_narrow_float_photon_number(self, scalar):
+        # The float-range check compares Python numbers, so the bound is not
+        # cast to the scalar's type (which overflows and warns).
+        params = SystemParams(delta=0.5, n_photon=scalar(2.0))
+        assert type(params.n_photon) is int and params.n_photon == 2
 
     @pytest.mark.parametrize("delta, n_photon", [
         (True, 2), (0.5, True), (0.5, np.bool_(True)), (1j, 2), (0.5, 2 + 0j), ("0.5", 2),
@@ -290,7 +303,51 @@ class TestGuards:
         assert np.all(np.isfinite(sq.mu))
 
 
+def literal_block(delta: float, lowest_photon: float) -> np.ndarray:
+    """One excitation block written out entry by entry."""
+    gamma = np.sqrt(max(lowest_photon + 1.0, 0.0))
+    beta = np.sqrt(max(lowest_photon + 2.0, 0.0))
+    return np.array(
+        [
+            [delta, gamma, gamma, 0.0],
+            [gamma, 0.0, 0.0, beta],
+            [gamma, 0.0, 0.0, beta],
+            [0.0, beta, beta, -delta],
+        ],
+        dtype=np.complex128,
+    )
+
+
+class TestExcitationBlocks:
+    DELTAS = (-1.3, 0.0, 0.37)
+    LOWEST = (-2.0, -1.0, 0.0, 3.0, float(2**53 + 1))
+
+    def test_a_grid_equals_its_elements_byte_for_byte(self):
+        stacked = excitation_blocks(np.array(self.DELTAS)[:, None], np.array(self.LOWEST))
+        assert stacked.shape == (len(self.DELTAS), len(self.LOWEST), 4, 4)
+        assert stacked.dtype == np.complex128
+        for i, delta in enumerate(self.DELTAS):
+            for j, lowest in enumerate(self.LOWEST):
+                assert stacked[i, j].tobytes() == excitation_blocks(delta, lowest).tobytes()
+                assert stacked[i, j].tobytes() == literal_block(delta, lowest).tobytes()
+
+    @pytest.mark.parametrize("lowest, dropped", [(-2, 3), (-1, 1), (0, 0), (5, 0)])
+    def test_states_of_negative_photon_number_are_an_uncoupled_prefix(self, lowest, dropped):
+        assert np.searchsorted(model.BLOCK_PHOTON_OFFSETS, -lowest) == dropped
+        blocks = excitation_blocks(np.array(self.DELTAS), lowest)
+        photons = lowest + np.array(model.BLOCK_PHOTON_OFFSETS)
+        assert np.all(photons[:dropped] < 0) and np.all(photons[dropped:] >= 0)
+        # Exactly 0.0, so the trailing square is the block of the states that exist.
+        assert np.all(blocks[:, :dropped, dropped:] == 0.0)
+        assert np.all(blocks[:, dropped:, :dropped] == 0.0)
+
+
 class TestSubspaceHamiltonian:
+    @pytest.mark.parametrize("delta, n", [(0.5, 1), (-1.3, 0), (0.0, 2**53 + 3)])
+    def test_equals_the_literal_matrix(self, delta, n):
+        h = subspace_hamiltonian(SystemParams(delta=delta, n_photon=n))
+        assert h.tobytes() == literal_block(delta, float(n)).tobytes()
+
     def test_structure(self):
         h = subspace_hamiltonian(SystemParams(delta=0.5, n_photon=1))
         gamma, beta = np.sqrt(2.0), np.sqrt(3.0)

@@ -5,12 +5,14 @@ the file it writes followed by what it prints to stdout. The table pins the
 CSV bytes across refactors of the sample pipeline: the 13 presets, entangled
 and custom preparations at several (delta, n_photon) points, and step counts
 on both sides of 128 and 1024, chunk sizes of the sample pipeline (2, 127,
-128, 129, 1001, 1023, 1024 and 1025), plus sweeps: delta sweeps of the eg, ee, gg and
-singlet preparations (the singlet never crosses zero), eg sweeps at 2, 3, 129
-and 1001 steps (crossings on both sides of the chunk boundary), a long-window
-eg sweep, two photon-number sweeps over 0..9, and a delta sweep and a
-photon-number sweep over 0..3 whose rows cross a chunk boundary inside a point. It also pins the JSON report and the text table of six
-closed-form audits.
+128, 129, 1001, 1023, 1024 and 1025), plus sweeps: delta sweeps of the eg,
+ee, gg and singlet preparations (the singlet never crosses zero), eg sweeps
+at 2, 3, 129 and 1001 steps (crossings on both sides of the chunk boundary),
+a long-window eg sweep, two photon-number sweeps over 0..9, and a delta
+sweep and a photon-number sweep over 0..3 whose rows cross a chunk boundary
+inside a point; and gg, eg and custom series at the photon number
+2**53 + 3, above the integers a double holds exactly. It also pins the JSON
+report and the text table of six closed-form audits.
 
 Regenerate the table (only when an output change is intended) with::
 
@@ -86,6 +88,12 @@ def _cases() -> list[tuple[str, ...]]:
         ("--sweep", "n_photon:0:9:10", "--initial", "custom", "--amplitudes",
          CUSTOM_AMPLITUDES[0], "--delta", "0.4", "--steps", "201")
     )
+    # Above 2**53 a double does not hold every integer, and float(n) - 2
+    # differs from float(n - 2): these pin that the lowest photon number of
+    # each block is formed as an exact integer before it becomes a double.
+    for preparation in (("--initial", "gg"), ("--initial", "eg"),
+                        ("--initial", "custom", "--amplitudes", CUSTOM_AMPLITUDES[0])):
+        cases.append(preparation + ("--n-photon", str(2**53 + 3), "--steps", "50"))
     for delta in AUDIT_DELTAS:
         for n_photon in AUDIT_PHOTONS:
             cases.append(("--mode", "audit", "--delta", delta, "--n-photon", n_photon))
